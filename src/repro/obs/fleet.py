@@ -28,8 +28,9 @@ summed; gauges follow their per-metric ``aggregation`` declaration —
 describing a shared resource, so the merged exposition never silently
 double-counts.  A shard whose pid is dead on this host, or whose
 heartbeat is older than its TTL, is excluded and garbage-collected
-under the telemetry FileLock (check-then-unlink, so concurrent scrapers
-remove it exactly once); a torn/partial shard is treated as absent.
+under the telemetry FileLock (:func:`repro.durable.gc_once`, so
+concurrent scrapers remove it exactly once); a torn/partial shard is
+treated as absent.
 
 **Trace merge** — :func:`merge_traces` stitches per-process Chrome trace
 documents into one file: each document's timestamps (relative to its
@@ -49,13 +50,13 @@ bit-identical.
 from __future__ import annotations
 
 import atexit
-import json
 import os
 import socket
 import threading
 import time
 from pathlib import Path
 
+from repro.durable import gc_once, is_stale, read_json, state_files, write_json
 from repro.obs.log import get_logger
 from repro.obs.metrics import (
     REGISTRY,
@@ -112,43 +113,10 @@ def _telemetry_lock(root: str | Path):
     return FileLock(Path(root) / "telemetry" / "telemetry.lock")
 
 
-def _atomic_write_json(path: Path, document: dict) -> None:
-    """Write ``document`` atomically (tmp file + rename) next to ``path``."""
-    import tempfile
-
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def _safe_instance(instance: str) -> str:
     return "".join(
         ch if ch.isalnum() or ch in "-_." else "-" for ch in instance
     )
-
-
-def _pid_alive(pid: int) -> bool:
-    """Best-effort liveness of a pid on this host."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - alive, other user
-        return True
-    except OSError:  # pragma: no cover - defensive
-        return True
-    return True
 
 
 # -- writing ------------------------------------------------------------------
@@ -264,7 +232,7 @@ class ShardWriter:
         }
         with self._write_lock:
             try:
-                _atomic_write_json(self.path, shard)
+                write_json(self.path, shard)
             except OSError:
                 return False
             if self.tracer is not None:
@@ -282,7 +250,7 @@ class ShardWriter:
         document = self.tracer.to_chrome(instance=self.instance)
         document["otherData"]["role"] = self.role
         try:
-            _atomic_write_json(self.trace_path, document)
+            write_json(self.trace_path, document)
         except OSError:
             return False
         return True
@@ -304,10 +272,12 @@ class Shard:
         "written_s",
         "ttl_s",
         "metrics",
+        "record",
     )
 
     def __init__(self, path: Path, record: dict) -> None:
         self.path = path
+        self.record = record
         self.instance = str(record["instance"])
         self.role = str(record.get("role", "worker"))
         self.pid = int(record["pid"])
@@ -324,29 +294,29 @@ class Shard:
             return 0.0
         return float(sum(value for _key, value in metric["values"]))
 
-    def is_stale(self, now: float | None = None, host: str | None = None) -> bool:
-        """Dead pid on this host, or heartbeat older than the TTL."""
-        now = time.time() if now is None else now
-        if now - self.written_s > self.ttl_s:
-            return True
-        host = socket.gethostname() if host is None else host
-        if self.host == host and not _pid_alive(self.pid):
-            return True
-        return False
-
 
 def load_shard(path: Path) -> Shard | None:
     """Parse one shard file; torn/invalid/foreign-schema -> ``None``."""
-    try:
-        record = json.loads(path.read_text())
-    except (FileNotFoundError, json.JSONDecodeError, OSError, UnicodeDecodeError):
-        return None
-    if not isinstance(record, dict) or record.get("schema") != SHARD_SCHEMA:
+    record = read_json(path)
+    if record is None or record.get("schema") != SHARD_SCHEMA:
         return None
     try:
         return Shard(path, record)
     except (KeyError, TypeError, ValueError):
         return None
+
+
+def _shard_stale(path: Path, shard: Shard | None, now: float) -> bool:
+    """Dead pid on this host, or heartbeat older than the TTL; a torn or
+    foreign file only once older than the default TTL (a live writer may
+    be mid-rewrite next to it)."""
+    return is_stale(
+        shard.record if shard is not None else None,
+        now,
+        stamp="written_s",
+        ttl_s=DEFAULT_TTL_S,
+        path=path,
+    )
 
 
 def read_live_shards(root: str | Path, gc: bool = True) -> list[Shard]:
@@ -355,31 +325,15 @@ def read_live_shards(root: str | Path, gc: bool = True) -> list[Shard]:
     Ordered by (role, instance) so merged output is stable regardless of
     directory enumeration order.
     """
-    directory = metrics_dir(root)
-    try:
-        paths = sorted(directory.glob("*.json"))
-    except OSError:
-        return []
     now = time.time()
-    host = socket.gethostname()
     live: list[Shard] = []
     dead: list[Path] = []
-    for path in paths:
+    for path in state_files(metrics_dir(root)):
         shard = load_shard(path)
-        if shard is None:
-            # Torn or foreign file: absent from aggregation; reap it
-            # only once it is old enough that no writer can still be
-            # mid-rewrite next to it.
-            try:
-                if now - path.stat().st_mtime > DEFAULT_TTL_S:
-                    dead.append(path)
-            except OSError:
-                pass
-            continue
-        if shard.is_stale(now=now, host=host):
+        if _shard_stale(path, shard, now):
             dead.append(path)
-            continue
-        live.append(shard)
+        elif shard is not None:
+            live.append(shard)
     if gc and dead:
         gc_stale_shards(root, candidates=dead)
     live.sort(key=lambda s: (s.role, s.instance, s.pid))
@@ -389,41 +343,16 @@ def read_live_shards(root: str | Path, gc: bool = True) -> list[Shard]:
 def gc_stale_shards(
     root: str | Path, candidates: list[Path] | None = None
 ) -> list[Path]:
-    """Remove stale/torn shards under the telemetry lock, exactly once.
-
-    Every candidate is re-checked *under the lock* before the unlink, so
-    two processes scraping concurrently cannot both claim the removal:
-    the loser finds the file gone (or fresh again) and skips it.
-    Returns the paths this call actually removed.
-    """
+    """Remove stale/torn shards under the telemetry lock, exactly once
+    (:func:`~repro.durable.gc_once`); returns the paths removed."""
     if candidates is None:
-        directory = metrics_dir(root)
-        try:
-            candidates = sorted(directory.glob("*.json"))
-        except OSError:
-            return []
-    if not candidates:
-        return []
-    removed: list[Path] = []
+        candidates = state_files(metrics_dir(root))
     now = time.time()
-    host = socket.gethostname()
-    with _telemetry_lock(root):
-        for path in candidates:
-            shard = load_shard(path)
-            if shard is None:
-                try:
-                    stale = now - path.stat().st_mtime > DEFAULT_TTL_S
-                except OSError:
-                    continue  # already gone: the sibling won the race
-            else:
-                stale = shard.is_stale(now=now, host=host)
-            if not stale:
-                continue
-            try:
-                os.unlink(path)
-            except OSError:
-                continue  # already gone: the sibling won the race
-            removed.append(path)
+    removed = gc_once(
+        _telemetry_lock(root),
+        candidates,
+        lambda path: _shard_stale(path, load_shard(path), now),
+    )
     if removed:
         _log.info(
             "collected stale metric shards",
@@ -600,22 +529,8 @@ def fleet_status(shards: list[Shard], now: float | None = None) -> dict:
 
 def load_trace_spills(root: str | Path) -> list[dict]:
     """Every parseable trace spill under ``root`` (torn files skipped)."""
-    directory = traces_dir(root)
-    try:
-        paths = sorted(directory.glob("*.json"))
-    except OSError:
-        return []
-    documents = []
-    for path in paths:
-        try:
-            document = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            continue
-        if isinstance(document, dict) and isinstance(
-            document.get("traceEvents"), list
-        ):
-            documents.append(document)
-    return documents
+    docs = [read_json(path) for path in state_files(traces_dir(root))]
+    return [d for d in docs if d and isinstance(d.get("traceEvents"), list)]
 
 
 def merge_traces(documents: list[dict]) -> dict:

@@ -14,9 +14,11 @@ passing baseline and names the top regressed span paths and frames.
 tools call :func:`append_record` directly.
 
 The format is JSONL on purpose: appends are one ``write`` of one line
-(atomic on POSIX for sane line lengths), partial lines from a crashed
-writer are skipped by :func:`load_history`, and the file diffs cleanly
-in review.
+(atomic on POSIX for sane line lengths) through
+:func:`repro.durable.append_line`, which first terminates a crashed
+writer's partial line so the next record survives on its own line;
+:func:`load_history` skips partial lines, and the file diffs cleanly in
+review.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ import socket
 import sys
 import time
 from pathlib import Path
+
+from repro.durable import append_line, read_lines
 
 __all__ = [
     "LEDGER_SCHEMA",
@@ -160,39 +164,19 @@ def append_record(
     }
     if profile is not None:
         record["profile"] = profile
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
+    append_line(path, json.dumps(record, sort_keys=True))
     return record
 
 
 def load_history(path: str | Path, bench: str | None = None) -> list[dict]:
     """All parseable ledger records, oldest first (torn lines skipped)."""
-    records: list[dict] = []
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError:
-        return []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue  # torn tail from a crashed writer
-        if (
-            not isinstance(record, dict)
-            or record.get("schema") != LEDGER_SCHEMA
-            or record.get("kind") != "perf-record"
-        ):
-            continue
-        if bench is not None and record.get("bench") != bench:
-            continue
-        records.append(record)
-    return records
+    return [
+        record
+        for record in read_lines(path)
+        if record.get("schema") == LEDGER_SCHEMA
+        and record.get("kind") == "perf-record"
+        and (bench is None or record.get("bench") == bench)
+    ]
 
 
 def baseline_for(history: list[dict], record: dict) -> dict | None:

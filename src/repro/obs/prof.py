@@ -45,7 +45,6 @@ shards), and the serving worker merges the spills with
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import socket
@@ -55,6 +54,7 @@ import time
 import uuid
 from pathlib import Path
 
+from repro.durable import gc_once, is_stale, read_json, state_files, write_json
 from repro.obs.log import get_logger
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span_paths
@@ -606,17 +606,9 @@ def profile_request_path(root: str | Path) -> Path:
     return profiles_dir(root) / "request.json"
 
 
-def _load_json(path: Path) -> dict | None:
-    try:
-        record = json.loads(path.read_text())
-    except (OSError, ValueError, UnicodeDecodeError):
-        return None
-    return record if isinstance(record, dict) else None
-
-
 def current_request(root: str | Path, now: float | None = None) -> dict | None:
     """The in-flight profile request, or ``None`` when the window closed."""
-    record = _load_json(profile_request_path(root))
+    record = read_json(profile_request_path(root))
     if record is None or record.get("kind") != "profile-request":
         return None
     now = time.time() if now is None else now
@@ -638,7 +630,7 @@ def request_profile(
     unchanged so concurrent ``/profile`` calls share one window instead
     of fighting over the per-process profiler.
     """
-    from repro.obs.fleet import _atomic_write_json, _telemetry_lock
+    from repro.obs.fleet import _telemetry_lock
 
     seconds = min(MAX_WINDOW_S, max(0.2, float(seconds)))
     interval_ms = min(100.0, max(1.0, float(interval_ms)))
@@ -660,18 +652,18 @@ def request_profile(
             "issued_s": round(now, 3),
             "deadline_s": round(now + seconds, 3),
         }
-        _atomic_write_json(path, request)
+        write_json(path, request)
     return request
 
 
 def spill_profile(root: str | Path, doc: dict) -> Path | None:
     """Atomically write one process's profile document under the store."""
-    from repro.obs.fleet import _atomic_write_json, _safe_instance
+    from repro.obs.fleet import _safe_instance
 
     stem = f"{_safe_instance(str(doc.get('instance', 'proc')))}-{doc.get('pid', 0)}.json"
     path = profiles_dir(root) / stem
     try:
-        _atomic_write_json(path, doc)
+        write_json(path, doc)
     except OSError:
         return None
     REGISTRY.counter(
@@ -683,7 +675,7 @@ def spill_profile(root: str | Path, doc: dict) -> Path | None:
 
 def load_profile_doc(path: Path) -> dict | None:
     """Parse one profile spill; torn/foreign/request files -> ``None``."""
-    record = _load_json(path)
+    record = read_json(path)
     if (
         record is None
         or record.get("schema") != PROFILE_SCHEMA
@@ -694,13 +686,21 @@ def load_profile_doc(path: Path) -> dict | None:
 
 
 def _profile_stale(path: Path, doc: dict | None, now: float) -> bool:
-    if doc is None:
-        try:
-            return now - path.stat().st_mtime > DEFAULT_PROFILE_TTL_S
-        except OSError:
-            return False
-    ttl = float(doc.get("ttl_s", DEFAULT_PROFILE_TTL_S))
-    return now - float(doc.get("written_s", 0.0)) > ttl
+    # TTL only: a capture is a point-in-time artifact that outlives its
+    # writer, so (unlike a metric shard) a dead pid does not retire it.
+    return is_stale(
+        doc,
+        now,
+        stamp="written_s",
+        ttl_s=DEFAULT_PROFILE_TTL_S,
+        owner_pid=False,
+        path=path,
+    )
+
+
+def _spill_paths(root: str | Path) -> list[Path]:
+    paths = state_files(profiles_dir(root))
+    return [path for path in paths if path.name != "request.json"]
 
 
 def read_profile_docs(
@@ -712,26 +712,15 @@ def read_profile_docs(
     capture is a point-in-time artifact, so (unlike metric shards) a
     dead pid does not retire it early.
     """
-    directory = profiles_dir(root)
-    try:
-        paths = sorted(directory.glob("*.json"))
-    except OSError:
-        return []
     now = time.time()
     live: list[dict] = []
     dead: list[Path] = []
-    for path in paths:
-        if path.name == "request.json":
-            continue
+    for path in _spill_paths(root):
         doc = load_profile_doc(path)
         if _profile_stale(path, doc, now):
             dead.append(path)
-            continue
-        if doc is None:
-            continue
-        if request_id is not None and doc.get("request_id") != request_id:
-            continue
-        live.append(doc)
+        elif doc is not None and request_id in (None, doc.get("request_id")):
+            live.append(doc)
     if gc and dead:
         gc_stale_profiles(root, candidates=dead)
     live.sort(key=lambda d: (str(d.get("role")), str(d.get("instance"))))
@@ -741,33 +730,18 @@ def read_profile_docs(
 def gc_stale_profiles(
     root: str | Path, candidates: list[Path] | None = None
 ) -> list[Path]:
-    """Remove expired spills under the telemetry lock, exactly once.
-
-    Same protocol as the metric-shard GC: every candidate is re-checked
-    *under the lock* before the unlink, so two concurrent readers cannot
-    both claim a removal.
-    """
+    """Remove expired spills under the telemetry lock, exactly once
+    (:func:`~repro.durable.gc_once`); returns the paths removed."""
     from repro.obs.fleet import _telemetry_lock
 
     if candidates is None:
-        try:
-            candidates = sorted(profiles_dir(root).glob("*.json"))
-        except OSError:
-            return []
-        candidates = [p for p in candidates if p.name != "request.json"]
-    if not candidates:
-        return []
-    removed: list[Path] = []
+        candidates = _spill_paths(root)
     now = time.time()
-    with _telemetry_lock(root):
-        for path in candidates:
-            if not _profile_stale(path, load_profile_doc(path), now):
-                continue
-            try:
-                os.unlink(path)
-            except OSError:
-                continue  # already gone: the sibling won the race
-            removed.append(path)
+    removed = gc_once(
+        _telemetry_lock(root),
+        candidates,
+        lambda path: _profile_stale(path, load_profile_doc(path), now),
+    )
     if removed:
         _log.info(
             "collected stale profile spills", extra={"count": len(removed)}

@@ -8,7 +8,7 @@ key's claim:
 
 ``<store root>/claims/<key>.claim``
     One JSON record — owner token, pid, host, claim time, TTL — created
-    with ``O_CREAT | O_EXCL`` so exactly one process wins.  Losers wait
+    whole and exclusively, so exactly one process wins.  Losers wait
     for the claim to clear and then hydrate the winner's result from
     the store instead of re-running engines.
 
@@ -24,7 +24,8 @@ Staleness: a claim whose TTL has expired, or whose owning pid is dead
 on this host, is *broken* (removed under the registry's file lock) so a
 crashed claimant never wedges the fleet.  Live claimants running long
 collections call :meth:`ClaimRegistry.refresh` from their progress
-callback to push the TTL window forward.
+callback to push the TTL window forward.  Record files, staleness and
+the break-under-lock all go through :mod:`repro.durable`.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.durable import (
+    append_line, atomic_create, gc_once, is_stale, read_json, read_lines, write_json,
+)
 from repro.obs.log import get_logger
 from repro.obs.metrics import REGISTRY
 from repro.service.locking import FileLock
@@ -78,19 +82,6 @@ class Claim:
     acquired_s: float
 
 
-def _pid_alive(pid: int) -> bool:
-    """Best-effort liveness of a pid on this host."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - alive, other user
-        return True
-    except OSError:  # pragma: no cover - defensive
-        return True
-    return True
-
-
 class ClaimRegistry:
     """Claim records + run log under one shared store root.
 
@@ -114,26 +105,17 @@ class ClaimRegistry:
     def _path(self, key: str) -> Path:
         return self._dir / f"{key}.claim"
 
-    def _load(self, path: Path) -> dict | None:
-        try:
-            record = json.loads(path.read_text())
-        except (FileNotFoundError, json.JSONDecodeError, OSError):
-            return None
-        return record if isinstance(record, dict) else None
+    def _stale(self, path: Path, record: dict | None) -> bool:
+        return is_stale(
+            record, time.time(), stamp="claimed_s", ttl_s=self.ttl_s, path=path
+        )
 
-    def _is_stale(self, record: dict) -> bool:
-        ttl = float(record.get("ttl_s", self.ttl_s))
-        age = time.time() - float(record.get("claimed_s", 0.0))
-        if age > ttl:
-            return True
-        pid = record.get("pid")
-        if (
-            record.get("host") == self._host
-            and isinstance(pid, int)
-            and not _pid_alive(pid)
-        ):
-            return True
-        return False
+    def _break_if_stale(self, path: Path) -> None:
+        """Remove ``path``'s claim if it is stale once the lock is held
+        (only one process breaks it)."""
+        if gc_once(self._lock, [path], lambda p: self._stale(p, read_json(p))):
+            _CLAIMS_BROKEN.inc()
+            _log.warning("broke stale claim", extra={"key": path.stem})
 
     # -- claiming -------------------------------------------------------------
 
@@ -142,7 +124,9 @@ class ClaimRegistry:
 
         A stale claim (expired or dead owner) is broken and the acquire
         retried, so one crashed worker costs one TTL at most — not a
-        permanently wedged key.
+        permanently wedged key.  The record is created whole
+        (:func:`~repro.durable.atomic_create`), so a claimant killed
+        mid-acquire leaves either no claim or one naming its dead pid.
         """
         token = f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
         path = self._path(key)
@@ -156,57 +140,39 @@ class ClaimRegistry:
                 "claimed_s": now,
                 "ttl_s": self.ttl_s,
             }
-            try:
-                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-            except FileExistsError:
-                holder = self._load(path)
-                if holder is not None and not self._is_stale(holder):
-                    return None
-                with self._lock:
-                    # Re-check under the lock: only one process breaks it.
-                    holder = self._load(path)
-                    if holder is None:
-                        continue  # released meanwhile; retry the O_EXCL
-                    if not self._is_stale(holder):
-                        return None
-                    path.unlink(missing_ok=True)
-                    _CLAIMS_BROKEN.inc()
-                    _log.warning(
-                        "broke stale claim",
-                        extra={"key": key, "stale_pid": holder.get("pid")},
-                    )
-                continue
-            try:
-                os.write(fd, json.dumps(record, sort_keys=True).encode())
-            finally:
-                os.close(fd)
-            _CLAIMS_ACQUIRED.inc()
-            return Claim(key=key, token=token, path=path, acquired_s=now)
+            if atomic_create(path, json.dumps(record, sort_keys=True).encode()):
+                _CLAIMS_ACQUIRED.inc()
+                return Claim(key=key, token=token, path=path, acquired_s=now)
+            holder = read_json(path)
+            if holder is None and not path.exists():
+                continue  # released meanwhile; retry the create
+            if not self._stale(path, holder):
+                return None
+            self._break_if_stale(path)
         return None  # pragma: no cover - pathological churn
 
     def refresh(self, claim: Claim) -> None:
         """Push the claim's TTL window forward (long collections call
         this from their progress feed)."""
         with self._lock:
-            record = self._load(claim.path)
+            record = read_json(claim.path)
             if record is None or record.get("token") != claim.token:
                 return  # broken by a sibling; nothing left to refresh
             record["claimed_s"] = time.time()
-            tmp = claim.path.with_suffix(".claim.tmp")
-            tmp.write_text(json.dumps(record, sort_keys=True))
-            os.replace(tmp, claim.path)
+            write_json(claim.path, record)
 
     def release(self, claim: Claim) -> None:
         """Drop the claim if we still own it (token-verified)."""
         with self._lock:
-            record = self._load(claim.path)
+            record = read_json(claim.path)
             if record is not None and record.get("token") == claim.token:
                 claim.path.unlink(missing_ok=True)
 
     def holder(self, key: str) -> dict | None:
         """The live claim record for ``key``, or ``None``."""
-        record = self._load(self._path(key))
-        if record is None or self._is_stale(record):
+        path = self._path(key)
+        record = read_json(path)
+        if record is None or self._stale(path, record):
             return None
         return record
 
@@ -226,16 +192,13 @@ class ClaimRegistry:
         """
         _CLAIMS_WAITED.inc()
         deadline = time.monotonic() + timeout
+        path = self._path(key)
         while True:
-            record = self._load(self._path(key))
+            record = read_json(path)
             if record is None:
                 return True
-            if self._is_stale(record):
-                with self._lock:
-                    again = self._load(self._path(key))
-                    if again is not None and self._is_stale(again):
-                        self._path(key).unlink(missing_ok=True)
-                        _CLAIMS_BROKEN.inc()
+            if self._stale(path, record):
+                self._break_if_stale(path)
                 return True
             if cancel is not None and cancel.is_set():
                 return False
@@ -254,26 +217,18 @@ class ClaimRegistry:
         bumps the duplicate counter) if ``key`` had already run."""
         with self._thread_lock, self._lock:
             duplicate = any(run["key"] == key for run in self.runs())
-            line = json.dumps(
-                {
-                    "key": key,
-                    "pid": os.getpid(),
-                    "host": self._host,
-                    "t_s": round(time.time(), 3),
-                },
-                sort_keys=True,
+            append_line(
+                self._runs_log,
+                json.dumps(
+                    {
+                        "key": key,
+                        "pid": os.getpid(),
+                        "host": self._host,
+                        "t_s": round(time.time(), 3),
+                    },
+                    sort_keys=True,
+                ),
             )
-            with open(self._runs_log, "a+", encoding="utf-8") as handle:
-                # A writer that crashed mid-line leaves a torn tail with
-                # no newline; appending straight after it would fuse the
-                # two records into one unparseable line.  Terminate the
-                # orphan first so this record survives on its own line.
-                handle.seek(0, os.SEEK_END)
-                if handle.tell() > 0:
-                    handle.seek(handle.tell() - 1)
-                    if handle.read(1) != "\n":
-                        handle.write("\n")
-                handle.write(line + "\n")
         _RUNS_RECORDED.inc()
         if duplicate:
             _DUPLICATE_RUNS.inc()
@@ -281,22 +236,8 @@ class ClaimRegistry:
         return not duplicate
 
     def runs(self) -> list[dict]:
-        """Every journaled run, in append order."""
-        try:
-            text = self._runs_log.read_text()
-        except FileNotFoundError:
-            return []
-        runs = []
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail of a crashed writer
-            if isinstance(record, dict) and "key" in record:
-                runs.append(record)
-        return runs
+        """Every journaled run, in append order (torn lines skipped)."""
+        return [run for run in read_lines(self._runs_log) if "key" in run]
 
     def duplicate_runs(self) -> dict[str, int]:
         """Keys that ran more than once, mapped to their run counts."""

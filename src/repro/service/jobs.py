@@ -32,7 +32,6 @@ its stored result, so two workers never run the same characterization.
 from __future__ import annotations
 
 import enum
-import json
 import os
 import threading
 import time
@@ -47,12 +46,13 @@ from repro.cluster.collection import (
     collection_runs,
     suite_store_key,
 )
+from repro.durable import read_json, state_files, write_json
 from repro.errors import CollectionCancelled, ServiceError
 from repro.obs.log import get_logger
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Tracer, span as obs_span, tracing
 from repro.service.claims import ClaimRegistry
-from repro.service.store import ResultStore, _atomic_write
+from repro.service.store import ResultStore
 from repro.workloads.base import Workload
 from repro.workloads.suite import workload_by_name
 
@@ -367,10 +367,7 @@ class JobManager:
         """Write the job's snapshot for sibling workers (atomic), and
         honor any cancel marker a sibling left for it."""
         try:
-            _atomic_write(
-                self._snapshot_path(job.id),
-                json.dumps(job.snapshot(), sort_keys=True).encode("utf-8"),
-            )
+            write_json(self._snapshot_path(job.id), job.snapshot())
         except OSError:  # pragma: no cover - snapshot loss is non-fatal
             _log.warning("failed to persist job snapshot", extra={"job": job.id})
         if job.state in _LIVE and self._cancel_marker(job.id).exists():
@@ -386,25 +383,15 @@ class JobManager:
             job = self._jobs.get(job_id)
         if job is not None:
             return job.snapshot()
-        try:
-            return json.loads(self._snapshot_path(job_id).read_text())
-        except (FileNotFoundError, json.JSONDecodeError, OSError):
-            return None
+        return read_json(self._snapshot_path(job_id))
 
     def shared_jobs(self) -> list[dict]:
         """Every snapshot in the shared directory (all workers' jobs),
         with this manager's in-memory state overriding its own files."""
         snapshots: dict[str, dict] = {}
-        try:
-            paths = sorted(self.shared_dir.glob("job-*.json"))
-        except OSError:  # pragma: no cover - defensive
-            paths = []
-        for path in paths:
-            try:
-                snapshot = json.loads(path.read_text())
-            except (json.JSONDecodeError, OSError):
-                continue  # torn write or vanished file: skip, not fail
-            if isinstance(snapshot, dict) and "id" in snapshot:
+        for path in state_files(self.shared_dir, "job-*.json"):
+            snapshot = read_json(path)
+            if snapshot is not None and "id" in snapshot:
                 snapshots[snapshot["id"]] = snapshot
         with self._lock:
             for job in self._jobs.values():

@@ -14,10 +14,9 @@ Layout of a store rooted at ``<root>``::
 
 Guarantees:
 
-- **Atomic writes** — objects and the index are written to a temp file
-  in the same directory and ``os.replace``\\ d into place, so a reader
-  (or a concurrent writer in another process) never observes a torn
-  file.
+- **Atomic writes** — objects and the index go through
+  :func:`repro.durable.atomic_write`, so a reader (or a concurrent
+  writer in another process) never observes a torn file.
 - **Cross-process index integrity** — every read-modify-write of the
   index (``put``/``adopt``/LRU touch/``remove``/eviction) happens under
   an advisory file lock (``<root>/index.lock``), so two processes
@@ -44,13 +43,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
 
 from repro.cluster.testbed import WorkloadCharacterization
+from repro.durable import atomic_write
 from repro.errors import StoreError
 from repro.service.locking import FileLock
 from repro.obs.flight import DEFAULT_CAPACITY
@@ -132,18 +131,11 @@ def _content_hash(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+def _encode(payload: dict) -> tuple[bytes, str]:
+    """The schema-stamped canonical bytes of ``payload`` and their hash."""
+    data = _canonical_dumps({**payload, "schema": SCHEMA_VERSION})
+    _STORE_PUTS.inc()
+    return data, _content_hash(data)
 
 
 class ResultStore:
@@ -217,8 +209,7 @@ class ResultStore:
         across the read *and* the write — re-reading inside the lock is
         what makes concurrent processes merge instead of clobber.
         """
-        index = self._parse_index()
-        return index
+        return self._parse_index()
 
     def _read_index_cached(self) -> dict:
         """The current index for read-only use (one ``stat`` when warm).
@@ -236,13 +227,35 @@ class ResultStore:
             self._cached = (key, index)
         return index
 
-    def _write_index(self, index: dict) -> None:
-        _atomic_write(self._index_path, json.dumps(index, sort_keys=True).encode())
+    def _write_index(self, index: dict, doomed: tuple[str, ...] = ()) -> None:
+        """Install ``index``, then unlink the ``doomed`` keys' objects.
+
+        Index first: a writer killed in between leaves orphan objects,
+        never an index entry whose object is gone.
+        """
+        atomic_write(self._index_path, json.dumps(index, sort_keys=True).encode())
         with self._lock:
             self._cached = (self._stat_key(), index)
         entries = index["entries"]
         _STORE_ENTRIES.set(len(entries))
         _STORE_BYTES.set(sum(e["bytes"] for e in entries.values()))
+        for key in doomed:
+            try:
+                self._object_path(key).unlink()
+            except OSError:
+                pass
+
+    def _index_entry(self, key: str, digest: str, nbytes: int) -> None:
+        """Index ``key`` as most recently used, evicting past the bounds
+        (index lock held by the caller)."""
+        index = self._read_index()
+        index["clock"] += 1
+        index["entries"][key] = {
+            "hash": digest,
+            "bytes": nbytes,
+            "last_used": index["clock"],
+        }
+        self._write_index(index, doomed=self._evict(index, keep=key))
 
     def _object_path(self, key: str) -> Path:
         if not key or not set(key) <= _KEY_SAFE:
@@ -258,22 +271,10 @@ class ResultStore:
         atomically, indexed, and old entries are evicted LRU if the
         store exceeds its bounds.
         """
-        stamped = dict(payload)
-        stamped["schema"] = SCHEMA_VERSION
-        data = _canonical_dumps(stamped)
-        digest = _content_hash(data)
-        _STORE_PUTS.inc()
+        data, digest = _encode(payload)
         with self._index_lock:
-            _atomic_write(self._object_path(key), data)
-            index = self._read_index()
-            index["clock"] += 1
-            index["entries"][key] = {
-                "hash": digest,
-                "bytes": len(data),
-                "last_used": index["clock"],
-            }
-            self._evict(index, keep=key)
-            self._write_index(index)
+            atomic_write(self._object_path(key), data)
+            self._index_entry(key, digest, len(data))
         return digest
 
     def put_object(self, key: str, payload: dict) -> tuple[str, int]:
@@ -289,12 +290,8 @@ class ResultStore:
         Returns:
             ``(digest, nbytes)`` of the canonical bytes written.
         """
-        stamped = dict(payload)
-        stamped["schema"] = SCHEMA_VERSION
-        data = _canonical_dumps(stamped)
-        digest = _content_hash(data)
-        _STORE_PUTS.inc()
-        _atomic_write(self._object_path(key), data)
+        data, digest = _encode(payload)
+        atomic_write(self._object_path(key), data)
         return digest, len(data)
 
     def adopt(self, key: str, digest: str, nbytes: int) -> None:
@@ -312,15 +309,7 @@ class ResultStore:
                 raise StoreError(f"adopt: no object file for key {key!r}")
             if _content_hash(data) != digest:
                 raise StoreError(f"adopt: content hash mismatch for key {key!r}")
-            index = self._read_index()
-            index["clock"] += 1
-            index["entries"][key] = {
-                "hash": digest,
-                "bytes": nbytes,
-                "last_used": index["clock"],
-            }
-            self._evict(index, keep=key)
-            self._write_index(index)
+            self._index_entry(key, digest, nbytes)
 
     def get_raw(self, key: str, touch: bool = True) -> tuple[bytes, str] | None:
         """The stored bytes and content hash for ``key``, or ``None``.
@@ -425,11 +414,7 @@ class ResultStore:
     def _drop(self, index: dict, key: str) -> None:
         """Remove ``key`` from a freshly-read index (lock held by caller)."""
         del index["entries"][key]
-        self._write_index(index)
-        try:
-            self._object_path(key).unlink()
-        except OSError:
-            pass
+        self._write_index(index, doomed=(key,))
 
     def _drop_stale(self, key: str, expected_hash: str) -> None:
         """Drop ``key``'s index entry if it still carries ``expected_hash``.
@@ -446,8 +431,10 @@ class ResultStore:
                 return  # a sibling already dropped or replaced it
             self._drop(index, key)
 
-    def _evict(self, index: dict, keep: str) -> None:
-        """Evict least-recently-used entries until within bounds."""
+    def _evict(self, index: dict, keep: str) -> tuple[str, ...]:
+        """Drop least-recently-used entries from ``index`` until within
+        bounds; returns the evicted keys, whose objects the caller
+        unlinks once the index is written."""
 
         def over_budget() -> bool:
             entries = index["entries"]
@@ -457,17 +444,16 @@ class ResultStore:
                 return sum(e["bytes"] for e in entries.values()) > self.max_bytes
             return False
 
+        evicted: list[str] = []
         while over_budget():
             victims = [k for k in index["entries"] if k != keep]
             if not victims:
-                return
+                break
             victim = min(victims, key=lambda k: index["entries"][k]["last_used"])
             del index["entries"][victim]
             _STORE_EVICTIONS.inc()
-            try:
-                self._object_path(victim).unlink()
-            except OSError:
-                pass
+            evicted.append(victim)
+        return tuple(evicted)
 
 
 # -- characterization (de)serialization ---------------------------------------

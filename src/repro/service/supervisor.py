@@ -79,6 +79,11 @@ def _bind_listen_socket(host: str, port: int) -> socket.socket:
                 pass
         sock.bind((host, port))
         sock.listen(_BACKLOG)
+        # Workers that lose the accept race must get BlockingIOError
+        # (socketserver's "nothing to accept"), not park in accept(2):
+        # PEP 475 retries that through SIGTERM, so serve_forever() would
+        # never return.
+        sock.setblocking(False)
     except BaseException:
         sock.close()
         raise

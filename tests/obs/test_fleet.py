@@ -16,10 +16,10 @@ import socket
 import time
 from pathlib import Path
 
+from repro.durable import write_json
 from repro.obs.fleet import (
     DEFAULT_TTL_S,
     ShardWriter,
-    _atomic_write_json,
     fleet_status,
     gc_stale_shards,
     load_shard,
@@ -168,7 +168,7 @@ class TestShardLifecycle:
     def test_ttl_stale_shard_excluded_and_gcd(self, tmp_path):
         _write_shard(tmp_path, "live", _registry({"200": 1}, 0, 0))
         stale_path = metrics_dir(tmp_path) / "stale-999.json"
-        _atomic_write_json(
+        write_json(
             stale_path,
             {
                 "schema": 1,
@@ -193,7 +193,7 @@ class TestShardLifecycle:
         proc.join(10.0)
         dead_pid = proc.pid
         dead_path = metrics_dir(tmp_path) / f"ghost-{dead_pid}.json"
-        _atomic_write_json(
+        write_json(
             dead_path,
             {
                 "schema": 1,
@@ -251,7 +251,7 @@ def test_concurrent_gc_removes_each_shard_exactly_once(tmp_path):
     re-check under the telemetry lock makes removal exactly-once."""
     stale = 5
     for index in range(stale):
-        _atomic_write_json(
+        write_json(
             metrics_dir(tmp_path) / f"old-{index}-1.json", _stale_record(index)
         )
     barrier = _MP.Barrier(2)

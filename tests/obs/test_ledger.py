@@ -97,6 +97,17 @@ def test_load_history_tolerates_torn_and_foreign_lines(tmp_path):
     ]
 
 
+def test_append_after_torn_tail_keeps_both_records(tmp_path):
+    """A writer killed mid-line leaves a tail with no newline; the next
+    append must land on its own line instead of fusing with it."""
+    path = tmp_path / "history.jsonl"
+    append_record(path, bench="speed", headline={"speedup": 2.0})
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('{"schema": 1, "kind": "perf-rec')  # no newline
+    append_record(path, bench="faults", headline={"overhead_ratio": 1.1})
+    assert [r["bench"] for r in load_history(path)] == ["speed", "faults"]
+
+
 def test_baseline_is_the_latest_prior_passing_record(tmp_path):
     path = tmp_path / "history.jsonl"
     append_record(path, bench="speed", headline={"speedup": 3.0})

@@ -1,8 +1,11 @@
 """End-to-end tests for the pre-fork multi-worker service plane."""
 
 import json
+import logging
 import os
+import select
 import signal
+import socket
 import threading
 import time
 import urllib.request
@@ -15,7 +18,7 @@ from repro.errors import ServiceError
 from repro.service.claims import ClaimRegistry
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceConfig
-from repro.service.supervisor import Supervisor
+from repro.service.supervisor import Supervisor, _bind_listen_socket
 from repro.workloads.suite import SUITE
 
 pytestmark = pytest.mark.skipif(
@@ -166,3 +169,59 @@ def test_shutdown_is_idempotent_and_closes_the_socket(tmp_path):
         rebound.start()
     finally:
         rebound.shutdown()
+
+
+def test_inherited_listen_socket_is_non_blocking():
+    """A worker that loses the accept race must get BlockingIOError, not
+    park in accept(2) where SIGTERM cannot reach serve_forever()."""
+    sock = _bind_listen_socket("127.0.0.1", 0)
+    try:
+        assert sock.getblocking() is False
+        with pytest.raises(BlockingIOError):
+            sock.accept()  # nothing pending: returns at once
+        client = socket.create_connection(sock.getsockname()[:2], timeout=5.0)
+        try:
+            assert select.select([sock], [], [], 5.0)[0]
+            accepted, _addr = sock.accept()
+            try:
+                assert accepted.getblocking() is True
+            finally:
+                accepted.close()
+        finally:
+            client.close()
+    finally:
+        sock.close()
+
+
+class _Collect(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__(logging.WARNING)
+        self.messages: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.messages.append(record.getMessage())
+
+
+def test_shutdown_after_fresh_connections_is_prompt(tmp_path):
+    """Fresh connections wake every worker's selector; with a blocking
+    listen socket the losers sat in accept(2) through SIGTERM until the
+    10 s grace ran out and the supervisor SIGKILLed them."""
+    logger = logging.getLogger("repro.service.supervisor")
+    collect = _Collect()
+    logger.addHandler(collect)
+    level = logger.level
+    logger.setLevel(logging.WARNING)
+    sup = Supervisor(_config(tmp_path), port=0, workers=2)
+    try:
+        host, port = sup.start()
+        for _ in range(20):  # urlopen: one new connection per request
+            assert _get_json(f"http://{host}:{port}/healthz")["ok"] is True
+        started = time.monotonic()
+        sup.shutdown()
+        elapsed = time.monotonic() - started
+    finally:
+        sup.shutdown()
+        logger.removeHandler(collect)
+        logger.setLevel(level)
+    assert elapsed < 3.0
+    assert not [m for m in collect.messages if "unresponsive" in m]

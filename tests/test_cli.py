@@ -150,9 +150,10 @@ class TestServe:
 
 class TestTraceMerge:
     def _spill(self, store, instance, role, pid, epoch):
-        from repro.obs.fleet import _atomic_write_json, traces_dir
+        from repro.durable import write_json
+        from repro.obs.fleet import traces_dir
 
-        _atomic_write_json(
+        write_json(
             traces_dir(store) / f"{instance}-{pid}.json",
             {
                 "traceEvents": [
