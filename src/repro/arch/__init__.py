@@ -8,14 +8,7 @@ from repro.arch.offcore import OffcoreCounters
 from repro.arch.pipeline import CycleAccounting, CycleModel, Latencies, SampleCounts
 from repro.arch.processor import Processor, ProcessorConfig, events_from_sample
 from repro.arch.tlb import Tlb, TlbConfig, TlbHierarchy, TlbOutcome
-from repro.arch.trace import (
-    InstructionMix,
-    MemOp,
-    OpKind,
-    PhaseProfile,
-    merge_profiles,
-    synthesize_ops,
-)
+from repro.arch.trace import InstructionMix, OpKind, PhaseProfile, merge_profiles
 
 __all__ = [
     "BranchStats",
@@ -42,9 +35,7 @@ __all__ = [
     "TlbHierarchy",
     "TlbOutcome",
     "InstructionMix",
-    "MemOp",
     "OpKind",
     "PhaseProfile",
     "merge_profiles",
-    "synthesize_ops",
 ]

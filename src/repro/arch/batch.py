@@ -1,8 +1,8 @@
 """Batched window-level simulation: compact event streams per sample.
 
-The reference engine (:meth:`~repro.arch.core_model.CoreModel.run_sample`)
-walks every synthesised operation through a Python dispatch loop.  Most
-ops never touch microarchitectural state, though: ALU/FP/other ops only
+A plain simulation would walk every synthesised operation through a
+Python dispatch loop.  Most ops never touch microarchitectural state,
+though: ALU/FP/other ops only
 advance the tick, branches only train the (self-contained) predictor, and
 the majority of frontend fetches re-probe the 64-byte line the previous
 fetch just made MRU — a guaranteed hit that changes nothing but four
@@ -24,15 +24,16 @@ A :class:`CompactSample` carries, per sample:
   hierarchy);
 * the vectorised per-class tallies the synthesis already computed.
 
-Bit-identity with the per-op reference loop is an invariant, not an
+Bit-identity with a plain per-op loop is an invariant, not an
 aspiration: the simulation consumes no randomness (all draws happen at
 synthesis time, in an unchanged order), elided fetches are provably
 state-preserving (the line and its page are MRU in the L1I/ITLB and
 nothing touches either between consecutive fetches), and the MLP
 integral is computed post hoc from the recorded fill deadlines via the
-closed form of the reference loop's occupancy count.  The equivalence is
-pinned by tests (``tests/arch/test_batch_equivalence.py``) and by the
-``bench_speed --check`` gate.
+closed form of the per-op loop's occupancy count.  The per-op loop lives
+on as the test oracle ``tests/arch/reference_engine.py``; the
+equivalence is pinned by ``tests/arch/test_batch_equivalence.py`` and by
+the ``bench_speed --check`` gate.
 """
 
 from __future__ import annotations
@@ -41,9 +42,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.arch.cache import LINE_SHIFT
 from repro.arch.tlb import PAGE_SHIFT
 from repro.arch.trace import (
     OP_BRANCH,
+    OP_CODE_MASK,
     OP_FETCH_FLAG,
     OP_STORE,
     OpTallies,
@@ -63,9 +66,6 @@ __all__ = [
     "plan_workload",
     "mlp_from_deadlines",
 ]
-
-_LINE_SHIFT = 6  # 64-byte lines (keep in sync with core_model.LINE_SHIFT)
-_OP_CODE_MASK = OP_FETCH_FLAG - 1
 
 #: Compact event codes: low bits name the data-side op (load/store/none),
 #: :data:`EV_FETCH` marks a non-elided frontend fetch riding the same op.
@@ -134,14 +134,14 @@ def synthesize_compact(
     """Synthesise one sample and compact it to its interesting events.
 
     Consumes ``rng`` exactly like :func:`~repro.arch.trace.
-    synthesize_stream` (the compaction is pure numpy post-processing), so
+    synthesize_columns` (the compaction is pure numpy post-processing), so
     hoisting and batching compact synthesis never changes what is drawn.
     """
     cols = synthesize_columns(profile, n_ops, core_id, rng, scratch=scratch)
     codes = cols.codes
     pcs = cols.pcs
 
-    bare = codes & _OP_CODE_MASK
+    bare = codes & OP_CODE_MASK
     fetch = codes >= OP_FETCH_FLAG  # flag is the top bit of the code
     is_mem = bare <= OP_STORE
 
@@ -150,7 +150,7 @@ def synthesize_compact(
     # state change (the line/page are MRU and nothing touches the L1I or
     # ITLB in between; the next-line prefetcher needs line == last + 1).
     fetch_idx = np.nonzero(fetch)[0]
-    fetch_lines = pcs[fetch_idx] >> _LINE_SHIFT
+    fetch_lines = pcs[fetch_idx] >> LINE_SHIFT
     elide = np.zeros(len(fetch_idx), dtype=bool)
     if len(fetch_idx) > 1:
         np.equal(fetch_lines[1:], fetch_lines[:-1], out=elide[1:])
@@ -169,9 +169,9 @@ def synthesize_compact(
         n_ops=n_ops,
         codes=ev_codes.tolist(),
         ticks=ev_idx.tolist(),
-        mem_lines=(ev_addresses >> _LINE_SHIFT).tolist(),
+        mem_lines=(ev_addresses >> LINE_SHIFT).tolist(),
         mem_pages=(ev_addresses >> PAGE_SHIFT).tolist(),
-        fetch_lines=(ev_pcs >> _LINE_SHIFT).tolist(),
+        fetch_lines=(ev_pcs >> LINE_SHIFT).tolist(),
         fetch_pages=(ev_pcs >> PAGE_SHIFT).tolist(),
         elided=int(elide.sum()),
         branch_pcs=cols.addresses[is_branch].tolist(),
@@ -190,10 +190,10 @@ def plan_workload(
 ) -> list[PhasePlan]:
     """Synthesise every window of a workload up front, in batch.
 
-    The per-window rng draw order is identical to the interleaved
-    reference protocol (per phase: each core's warm-up sample, then each
-    core's measured sample) — simulation consumes no randomness, so
-    hoisting all synthesis ahead of all simulation is bit-identical.
+    The rng draw order is the per-window protocol's (per phase: each
+    core's warm-up sample, then each core's measured sample) — simulation
+    consumes no randomness, so hoisting all synthesis ahead of all
+    simulation is bit-identical to drawing each window as it runs.
     One :class:`~repro.arch.trace.SynthScratch` (default: a fresh one)
     backs every sample's uniform draws, so a whole workload — and, when
     the caller passes the same scratch for several slaves or workloads,
@@ -220,8 +220,8 @@ def mlp_from_deadlines(
 ) -> tuple[int, int]:
     """The MLP integrals, computed post hoc from recorded fills.
 
-    The reference loop pushes a service deadline per off-core fill and,
-    each tick, pops expired entries then counts the survivors.  An entry
+    A per-op loop pushes a service deadline per off-core fill and, each
+    tick, pops expired entries then counts the survivors.  An entry
     pushed at tick ``t`` with deadline ``d`` is therefore outstanding at
     exactly the ticks ``u`` with ``t < u < d`` (and ``u < n_ops``), so
     the occupancy series is a difference array — no heap required.
@@ -229,7 +229,7 @@ def mlp_from_deadlines(
     Returns:
         ``(mlp_sum, mlp_active)``: total outstanding-entry ticks and the
         number of ticks with at least one entry outstanding, equal
-        bit-for-bit to the reference loop's counters.
+        bit-for-bit to a per-op loop's heap-based counters.
     """
     if not push_ticks:
         return 0, 0

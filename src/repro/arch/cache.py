@@ -21,12 +21,10 @@ __all__ = [
     "CacheAccess",
     "CacheStats",
     "SetAssociativeCache",
-    "ACCESS_HIT",
-    "ACCESS_WRITEBACK",
-    "ACCESS_EVICTED",
-    "ACCESS_VICTIM_SHIFT",
-    "unpack_access",
+    "LINE_SHIFT",
 ]
+
+LINE_SHIFT = 6  # 64-byte lines throughout the hierarchy (Table III)
 
 
 def _is_power_of_two(value: int) -> bool:
@@ -49,7 +47,7 @@ class CacheConfig:
     name: str
     size: int
     associativity: int
-    line_size: int = 64
+    line_size: int = 1 << LINE_SHIFT
     write_back: bool = True
 
     def __post_init__(self) -> None:
@@ -72,8 +70,7 @@ class CacheConfig:
 
 
 class CacheAccess(NamedTuple):
-    """Outcome of a single cache access (convenience decoding of the
-    packed-int protocol used on the hot path — see :data:`ACCESS_HIT`).
+    """Outcome of a single cache access.
 
     Attributes:
         hit: Whether the line was present.
@@ -86,36 +83,6 @@ class CacheAccess(NamedTuple):
     line_addr: int
     evicted_line: int | None = None
     writeback: bool = False
-
-
-# Packed access-result protocol.  The simulator performs millions of cache
-# accesses per workload; constructing a CacheAccess for each one dominated
-# the profile, so :meth:`SetAssociativeCache.access_packed` encodes the
-# outcome in a single int instead:
-#
-#   bit 0 (ACCESS_HIT)       line was present
-#   bit 1 (ACCESS_WRITEBACK) the victim was dirty (write-back required)
-#   bit 2 (ACCESS_EVICTED)   a victim line was evicted
-#   bits 3+                  the victim's line address (valid iff bit 2)
-#
-# A hit is always exactly ``1`` and a victimless miss exactly ``0`` — both
-# are interned small ints, so the common cases allocate nothing.
-ACCESS_HIT = 0b001
-ACCESS_WRITEBACK = 0b010
-ACCESS_EVICTED = 0b100
-ACCESS_VICTIM_SHIFT = 3
-
-
-def unpack_access(packed: int, line_addr: int) -> CacheAccess:
-    """Decode a packed access result into a :class:`CacheAccess`."""
-    if packed & ACCESS_EVICTED:
-        return CacheAccess(
-            bool(packed & ACCESS_HIT),
-            line_addr,
-            packed >> ACCESS_VICTIM_SHIFT,
-            bool(packed & ACCESS_WRITEBACK),
-        )
-    return CacheAccess(bool(packed & ACCESS_HIT), line_addr)
 
 
 @dataclass
@@ -184,59 +151,27 @@ class SetAssociativeCache:
 
         Returns:
             A :class:`CacheAccess` describing hit/miss and any eviction.
-            (Convenience wrapper; the simulator hot path calls
-            :meth:`access_packed` directly.)
-        """
-        return unpack_access(
-            self.access_packed(addr, is_write), addr >> self._line_shift
-        )
-
-    def access_packed(self, addr: int, is_write: bool = False) -> int:
-        """Access byte address ``addr``; fill on miss (write-allocate).
-
-        Returns:
-            The packed outcome (see the ``ACCESS_*`` bit constants):
-            ``1`` for a hit, ``0`` for a victimless miss, otherwise
-            ``ACCESS_EVICTED | writeback_bit | victim_line << 3``.
         """
         line = addr >> self._line_shift
-        mask = self._set_mask
-        cache_set = self._sets[line & mask if mask else line % self._num_sets]
+        cache_set = self._set_for(line)
         stats = self.stats
         if line in cache_set:
             stats.hits += 1
             cache_set.move_to_end(line)
             if is_write:
                 cache_set[line] = True
-            return ACCESS_HIT
-
-        return self.fill_miss(cache_set, line, is_write)
-
-    def fill_miss(
-        self, cache_set: OrderedDict[int, bool], line: int, is_write: bool
-    ) -> int:
-        """Complete a demand miss: account stats, evict, fill ``line``.
-
-        Split out of :meth:`access_packed` so the core model can inline
-        the hit check (one set probe) and only pay a call on the miss
-        path.  ``cache_set`` must be the set ``line`` maps to.
-
-        Returns:
-            The packed miss outcome (``ACCESS_HIT`` clear; see
-            :meth:`access_packed`).
-        """
-        stats = self.stats
+            return CacheAccess(True, line)
         stats.misses += 1
-        packed = 0
+        evicted_line = None
+        writeback = False
         if len(cache_set) >= self._assoc:
             evicted_line, evicted_dirty = cache_set.popitem(last=False)
             stats.evictions += 1
-            packed = ACCESS_EVICTED | (evicted_line << ACCESS_VICTIM_SHIFT)
             if evicted_dirty and self._write_back:
                 stats.writebacks += 1
-                packed |= ACCESS_WRITEBACK
+                writeback = True
         cache_set[line] = is_write
-        return packed
+        return CacheAccess(False, line, evicted_line, writeback)
 
     def install_line(self, line_addr: int) -> None:
         """Fill ``line_addr`` without demand-access statistics (prefetch).
@@ -315,11 +250,6 @@ class SetAssociativeCache:
                 cache_set.popitem(last=False)
             cache_set[line] = False
 
-    def contains(self, addr: int) -> bool:
-        """Whether the line holding byte ``addr`` is resident (no LRU update)."""
-        line = self.line_address(addr)
-        return line in self._set_for(line)
-
     def line_resident(self, line_addr: int) -> bool:
         """Whether line-aligned address ``line_addr`` is resident."""
         return line_addr in self._set_for(line_addr)
@@ -353,12 +283,6 @@ class SetAssociativeCache:
             cache_set[line_addr] = True
             return True
         return False
-
-    def mark_clean(self, line_addr: int) -> None:
-        """Clear the dirty bit of a resident line (after a coherence WB)."""
-        cache_set = self._set_for(line_addr)
-        if line_addr in cache_set:
-            cache_set[line_addr] = False
 
     def flush(self) -> None:
         """Empty the cache, keeping statistics."""

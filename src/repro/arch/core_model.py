@@ -3,58 +3,31 @@
 A :class:`CoreModel` owns one core's private state — split L1I/L1D, a
 unified L2, the two-level TLBs and a gshare branch predictor — and shares
 the socket's L3 and coherence directory with its siblings.  Feeding it a
-:class:`~repro.arch.trace.PhaseProfile` runs a sampled functional
+:class:`~repro.arch.batch.CompactSample` runs a sampled functional
 simulation: every synthesised operation walks the real tag arrays, so hit
 levels, snoop responses, TLB walks and branch mispredictions are emergent
 rather than dialled in.
 
-The inner loops here and in the caches/TLBs they drive are the hottest
-code in the repository (millions of simulated operations per workload),
-so they use the allocation-free packed protocols: operations arrive as
-the parallel columns of an :class:`~repro.arch.trace.OpStream`, cache
-accesses return packed ints (:meth:`SetAssociativeCache.access_packed`)
-and TLB translations return small codes
-(:meth:`TlbHierarchy.translate_packed`).
+:meth:`CoreModel.run_compact` is the hottest code in the repository
+(millions of simulated operations per workload), so it inlines the
+caches', TLBs' and directory's hot paths over their internal sets and
+keeps every counter in a local.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 
-import numpy as np
-
+from repro.arch.batch import mlp_from_deadlines
 from repro.arch.branch import GsharePredictor
-from repro.arch.cache import (
-    ACCESS_EVICTED,
-    ACCESS_HIT,
-    ACCESS_WRITEBACK,
-    ACCESS_VICTIM_SHIFT,
-    CacheConfig,
-    SetAssociativeCache,
-)
+from repro.arch.cache import LINE_SHIFT, CacheConfig, SetAssociativeCache
 from repro.arch.coherence import CoherenceDirectory, MesiState, SnoopResponse
 from repro.arch.pipeline import SampleCounts
-from repro.arch.tlb import (
-    PAGE_SHIFT,
-    TRANSLATE_STLB_HIT,
-    Tlb,
-    TlbConfig,
-    TlbHierarchy,
-)
+from repro.arch.tlb import Tlb, TlbConfig, TlbHierarchy
 from repro.arch import trace as trace_mod
-from repro.arch.trace import (
-    OP_BRANCH,
-    OP_FETCH_FLAG,
-    OP_LOAD,
-    OP_STORE,
-    PhaseProfile,
-    synthesize_stream,
-)
+from repro.arch.trace import PhaseProfile
 
 __all__ = ["CoreModel", "LINE_SHIFT"]
-
-LINE_SHIFT = 6  # 64-byte lines throughout the hierarchy (Table III)
 
 #: Approximate service times in op-ticks, used only for the MLP integral
 #: (the cycle model converts real penalties separately).
@@ -82,10 +55,14 @@ def _prefetch_pair(
 ):
     """Install ``line + 1`` and ``line + 2`` throughout the hierarchy.
 
-    The batched kernel's twin of :meth:`CoreModel._prefetch_ahead`,
-    taking the pre-resolved set lists so it stays free of attribute
-    lookups.  Returns the off-core prefetch count (lines that were not
-    L2-resident before their install).
+    Real L1/L2 prefetchers track a few dozen independent streams (one
+    per 4 KB page); on a detected sequential pattern within a page the
+    next two lines are installed throughout the hierarchy without demand
+    statistics, which is why streaming scans do not drown the LLC in
+    compulsory misses on real hardware.  Takes the pre-resolved set
+    lists so it stays free of attribute lookups.  Returns the off-core
+    prefetch count (lines that were not L2-resident before their
+    install: the prefetch escapes the core like a demand read would).
     """
     offcore = 0
     for ahead in (line + 1, line + 2):
@@ -153,288 +130,6 @@ class CoreModel:
         self._stream_trackers: dict[int, int] = {}  # page -> last line seen
         self._last_fetch_line = -2  # I-side next-line prefetcher state
 
-    # ------------------------------------------------------------------
-    # Instruction side.
-    # ------------------------------------------------------------------
-
-    def _fetch(self, pc: int, counts: SampleCounts) -> None:
-        """Fetch the 16-byte block holding ``pc`` through L1I / L2 / L3.
-
-        The frontend probes the L1I once per 16 B fetch block, so a
-        sequential walk of one 64 B line yields three hits after the
-        transition; a next-line prefetcher hides most sequential line
-        transitions, leaving jumps as the dominant L1I miss source.
-
-        The ITLB-L1 and L1I hit checks are inlined (one set probe each);
-        only misses pay a call into the slow paths.  The private L1s are
-        built with power-of-two set counts, which is what makes the
-        ``& _set_mask`` indexing valid.
-        """
-        counts.l1i_accesses += 1
-        itlb = self.itlb
-        page = pc >> PAGE_SHIFT
-        itlb_l1 = itlb.l1
-        tlb_set = itlb_l1._sets[page & itlb_l1._set_mask]
-        if page in tlb_set:
-            tlb_set.move_to_end(page)
-            itlb.stats.l1_hits += 1
-        elif itlb.translate_miss(page) == TRANSLATE_STLB_HIT:
-            counts.itlb_stlb_hits += 1
-        else:
-            counts.itlb_walks += 1
-            counts.itlb_walk_cycles += _PAGE_WALK_CYCLES
-        l1i = self.l1i
-        line = pc >> LINE_SHIFT
-        cache_set = l1i._sets[line & l1i._set_mask]
-        if line in cache_set:
-            l1i.stats.hits += 1
-            cache_set.move_to_end(line)
-            hit = True
-        else:
-            l1i.fill_miss(cache_set, line, False)  # L1I lines never dirty
-            hit = False
-        if line == self._last_fetch_line + 1:
-            l1i.install_line(line + 1)
-            self.l2.install_line(line + 1)
-            self.l3.install_line(line + 1)
-        self._last_fetch_line = line
-        if hit:
-            counts.l1i_hits += 1
-            return
-        counts.l1i_misses += 1
-        l2_access = self.l2.access_packed(pc)
-        if l2_access & ACCESS_HIT:
-            counts.icache_l2_hits += 1
-            counts.l2_hits += 1
-            return
-        counts.l2_misses += 1
-        counts.offcore_code += 1
-        self._handle_l2_eviction(l2_access, counts)
-        l3_access = self.l3.access_packed(pc)
-        if l3_access & ACCESS_HIT:
-            counts.icache_l3_hits += 1
-            counts.l3_hits += 1
-        else:
-            counts.l3_misses += 1
-            counts.icache_mem += 1
-
-    # ------------------------------------------------------------------
-    # Data side.
-    # ------------------------------------------------------------------
-
-    def _handle_l1d_eviction(self, packed: int, counts: SampleCounts) -> None:
-        """Absorb a dirty L1D victim into the L2 (write-back).
-
-        ``packed`` is an :meth:`~repro.arch.cache.SetAssociativeCache.
-        access_packed` result; clean or victimless misses need no action.
-        """
-        if not packed & ACCESS_WRITEBACK:
-            return
-        victim = packed >> ACCESS_VICTIM_SHIFT
-        if not self.l2.set_dirty(victim):
-            # Victim escaped the private hierarchy entirely.
-            counts.offcore_writeback += 1
-            self.directory.evicted(self.core_id, victim)
-
-    def _handle_l2_eviction(self, packed: int, counts: SampleCounts) -> None:
-        """Handle an L2 victim: write back dirty data, keep L1D coherent."""
-        if not packed & ACCESS_EVICTED:
-            return
-        victim = packed >> ACCESS_VICTIM_SHIFT
-        if packed & ACCESS_WRITEBACK:
-            counts.offcore_writeback += 1
-        # Maintain (approximate) inclusion so the directory can treat
-        # "in L2" as "in the private hierarchy".
-        self.l1d.invalidate_line(victim)
-        self.directory.evicted(self.core_id, victim)
-
-    def _record_snoop(self, response: SnoopResponse, counts: SampleCounts) -> None:
-        if response is SnoopResponse.HIT:
-            counts.snoop_hit += 1
-        elif response is SnoopResponse.HITE:
-            counts.snoop_hite += 1
-        elif response is SnoopResponse.HITM:
-            counts.snoop_hitm += 1
-
-    def _prefetch_ahead(self, line: int, counts: SampleCounts) -> None:
-        """Install the next two lines after a detected sequential stream.
-
-        Real L1/L2 prefetchers track a few dozen independent streams (one
-        per 4 KB page), so sequential scans stay covered even when other
-        references interleave.  On a detected sequential pattern within a
-        page, the next two lines are installed throughout the hierarchy
-        without demand statistics — which is why streaming scans do not
-        drown the LLC in compulsory misses on real hardware.
-
-        The stream-detector probe itself is inlined in :meth:`_load` /
-        :meth:`_store`; this method only runs on a detection.
-        """
-        l1d, l2, l3 = self.l1d, self.l2, self.l3
-        for ahead in (line + 1, line + 2):
-            if not l2.line_resident(ahead):
-                # The prefetch escapes the core: it is offcore data
-                # traffic just like a demand read would have been.
-                counts.offcore_data += 1
-            l1d.install_line(ahead)
-            l2.install_line(ahead)
-            l3.install_line(ahead)
-
-    def _load(
-        self,
-        addr: int,
-        tick: int,
-        outstanding: list[int],
-        counts: SampleCounts,
-    ) -> None:
-        line = addr >> LINE_SHIFT
-        # Streaming prefetcher probe (one dict get/set per access; the
-        # tracker-limit pop can only be needed when a new page was added).
-        page4k = line >> 6  # 4 KiB page of this line
-        trackers = self._stream_trackers
-        last = trackers.get(page4k)
-        trackers[page4k] = line
-        if last is not None:
-            if line == last + 1:
-                self._prefetch_ahead(line, counts)
-        elif len(trackers) > _STREAM_TRACKERS:
-            trackers.pop(next(iter(trackers)))
-        # DTLB with the L1 hit check inlined.
-        dtlb = self.dtlb
-        page = addr >> PAGE_SHIFT
-        dtlb_l1 = dtlb.l1
-        tlb_set = dtlb_l1._sets[page & dtlb_l1._set_mask]
-        if page in tlb_set:
-            tlb_set.move_to_end(page)
-            dtlb.stats.l1_hits += 1
-        elif dtlb.translate_miss(page) == TRANSLATE_STLB_HIT:
-            counts.dtlb_stlb_hits += 1
-        else:
-            counts.dtlb_walks += 1
-            counts.dtlb_walk_cycles += _PAGE_WALK_CYCLES
-        # L1D with the hit check inlined.
-        l1d = self.l1d
-        cache_set = l1d._sets[line & l1d._set_mask]
-        if line in cache_set:
-            l1d.stats.hits += 1
-            cache_set.move_to_end(line)
-            return
-        access = l1d.fill_miss(cache_set, line, False)
-        self._handle_l1d_eviction(access, counts)
-        if line in self._lfb:
-            counts.load_hit_lfb += 1
-            return
-        l2_access = self.l2.access_packed(addr)
-        if l2_access & ACCESS_HIT:
-            counts.load_hit_l2 += 1
-            counts.l2_hits += 1
-            return
-        counts.l2_misses += 1
-        counts.offcore_data += 1
-        self._handle_l2_eviction(l2_access, counts)
-        self._lfb.append(line)
-        response = self.directory.read_miss(self.core_id, line)
-        if response is not SnoopResponse.NONE:
-            self._record_snoop(response, counts)
-            counts.load_hit_sibling += 1
-            heapq.heappush(outstanding, tick + _MLP_SERVICE_SIBLING)
-            # A dirty cache-to-cache transfer also installs into the L3.
-            self.l3.access_packed(addr)
-            return
-        l3_access = self.l3.access_packed(addr)
-        if l3_access & ACCESS_HIT:
-            counts.load_hit_l3 += 1
-            counts.l3_hits += 1
-            heapq.heappush(outstanding, tick + _MLP_SERVICE_L3)
-        else:
-            counts.l3_misses += 1
-            counts.load_llc_miss += 1
-            heapq.heappush(outstanding, tick + _MLP_SERVICE_MEM)
-
-    def _store(
-        self,
-        addr: int,
-        tick: int,
-        outstanding: list[int],
-        counts: SampleCounts,
-    ) -> None:
-        line = addr >> LINE_SHIFT
-        # Streaming prefetcher probe (see _load).
-        page4k = line >> 6
-        trackers = self._stream_trackers
-        last = trackers.get(page4k)
-        trackers[page4k] = line
-        if last is not None:
-            if line == last + 1:
-                self._prefetch_ahead(line, counts)
-        elif len(trackers) > _STREAM_TRACKERS:
-            trackers.pop(next(iter(trackers)))
-        # DTLB with the L1 hit check inlined.
-        dtlb = self.dtlb
-        page = addr >> PAGE_SHIFT
-        dtlb_l1 = dtlb.l1
-        tlb_set = dtlb_l1._sets[page & dtlb_l1._set_mask]
-        if page in tlb_set:
-            tlb_set.move_to_end(page)
-            dtlb.stats.l1_hits += 1
-        elif dtlb.translate_miss(page) == TRANSLATE_STLB_HIT:
-            counts.dtlb_stlb_hits += 1
-        else:
-            counts.dtlb_walks += 1
-            counts.dtlb_walk_cycles += _PAGE_WALK_CYCLES
-        # L1D (write) with the hit check inlined.
-        l1d = self.l1d
-        cache_set = l1d._sets[line & l1d._set_mask]
-        if line in cache_set:
-            l1d.stats.hits += 1
-            cache_set.move_to_end(line)
-            cache_set[line] = True
-            state = self.directory.state(self.core_id, line)
-            if state is MesiState.SHARED:
-                # Upgrade: invalidate other sharers, goes on the bus.
-                response = self.directory.upgrade(self.core_id, line)
-                self._record_snoop(response, counts)
-                counts.offcore_rfo += 1
-            elif state is MesiState.EXCLUSIVE:
-                self.directory.write_hit_owned(self.core_id, line)
-            return
-        access = l1d.fill_miss(cache_set, line, True)
-        self._handle_l1d_eviction(access, counts)
-        if line in self._lfb:
-            counts.load_hit_lfb += 1  # stores merging into an in-flight fill
-            return
-        l2_access = self.l2.access_packed(addr, True)
-        if l2_access & ACCESS_HIT:
-            counts.l2_hits += 1
-            state = self.directory.state(self.core_id, line)
-            if state is MesiState.SHARED:
-                response = self.directory.upgrade(self.core_id, line)
-                self._record_snoop(response, counts)
-                counts.offcore_rfo += 1
-            elif state is MesiState.EXCLUSIVE:
-                self.directory.write_hit_owned(self.core_id, line)
-            return
-        counts.l2_misses += 1
-        counts.offcore_rfo += 1
-        self._handle_l2_eviction(l2_access, counts)
-        self._lfb.append(line)
-        response = self.directory.write_miss(self.core_id, line)
-        if response is not SnoopResponse.NONE:
-            self._record_snoop(response, counts)
-            heapq.heappush(outstanding, tick + _MLP_SERVICE_SIBLING)
-            self.l3.access_packed(addr, True)
-            return
-        l3_access = self.l3.access_packed(addr, True)
-        if l3_access & ACCESS_HIT:
-            counts.l3_hits += 1
-            heapq.heappush(outstanding, tick + _MLP_SERVICE_L3)
-        else:
-            counts.l3_misses += 1
-            heapq.heappush(outstanding, tick + _MLP_SERVICE_MEM)
-
-    # ------------------------------------------------------------------
-    # Driver.
-    # ------------------------------------------------------------------
-
     def prewarm(
         self,
         profile: PhaseProfile,
@@ -500,95 +195,30 @@ class CoreModel:
 
         self.l3.install_span(code_first, code_lines)
 
-    def run_sample(
-        self,
-        profile: PhaseProfile,
-        n_ops: int,
-        rng: np.random.Generator,
-    ) -> SampleCounts:
-        """Simulate ``n_ops`` sampled instructions of ``profile``.
-
-        Returns:
-            Raw sample counters (unscaled).  Cycle accounting and scaling
-            to the phase's nominal instruction count happen in
-            :class:`repro.arch.processor.Processor`.
-
-        The loop body is deliberately flat: the op stream is consumed as
-        parallel columns, scalar counters are accumulated in locals and
-        flushed into ``counts`` once, and the MLP tracking is inlined —
-        this is the hottest loop in the repository.
-        """
-        counts = SampleCounts()
-        stream = synthesize_stream(profile, n_ops, self.core_id, rng)
-        codes = stream.codes
-        addresses = stream.addresses
-        takens = stream.takens
-        pcs = stream.pcs
-        outstanding: list[int] = []
-        heappop = heapq.heappop
-        fetch = self._fetch
-        load = self._load
-        store = self._store
-        predict = self.branch.predict_and_update
-        mispredicts = 0
-        mlp_active = 0
-        mlp_sum = 0
-        for tick, code in enumerate(codes):
-            while outstanding and outstanding[0] <= tick:
-                heappop(outstanding)
-            if outstanding:
-                mlp_active += 1
-                mlp_sum += len(outstanding)
-            if code & OP_FETCH_FLAG:
-                # New 16-byte fetch block (precomputed at synthesis time).
-                fetch(pcs[tick], counts)
-                code ^= OP_FETCH_FLAG
-            if code == OP_LOAD:
-                load(addresses[tick], tick, outstanding, counts)
-            elif code == OP_STORE:
-                store(addresses[tick], tick, outstanding, counts)
-            elif code == OP_BRANCH:
-                if not predict(addresses[tick], takens[tick]):
-                    mispredicts += 1
-        # Per-class tallies are pure functions of the stream — precomputed
-        # vectorised at synthesis time instead of counted per op here.
-        tallies = stream.tallies
-        counts.instructions = n_ops
-        counts.kernel_instructions = tallies.kernel
-        counts.loads = tallies.loads
-        counts.stores = tallies.stores
-        counts.branches_retired = tallies.branches
-        counts.branch_mispredicts = mispredicts
-        counts.int_ops = tallies.int_alu
-        counts.x87_ops = tallies.fp_x87
-        counts.sse_ops = tallies.fp_sse
-        counts.mlp_active = mlp_active
-        counts.mlp_sum = mlp_sum
-        return counts
-
     def run_compact(self, sample, discard: bool = False) -> SampleCounts:
         """Simulate one :class:`~repro.arch.batch.CompactSample`.
 
-        The batched-engine twin of :meth:`run_sample`: walks only the
-        compacted interesting events (loads, stores, line-changing
-        fetches), replays the branch stream through the predictor in one
-        tight pass, applies the elided same-line fetches as batched
-        counter increments, and computes the MLP integrals post hoc from
-        the recorded fill deadlines.  Produces counters and
-        microarchitectural state bit-identical to feeding the same
-        synthesised ops through :meth:`run_sample`.
+        Walks only the compacted interesting events (loads, stores,
+        line-changing fetches), replays the branch stream through the
+        predictor in one tight pass, applies the elided same-line fetches
+        as batched counter increments, and computes the MLP integrals
+        post hoc from the recorded fill deadlines.  Produces counters and
+        microarchitectural state bit-identical to walking every
+        synthesised op through the models' plain APIs
+        (``SetAssociativeCache.access``, ``TlbHierarchy.translate``,
+        ``GsharePredictor.predict_and_update``, the
+        ``CoherenceDirectory`` methods) — the per-op test oracle in
+        ``tests/arch/reference_engine.py`` pins the two together.
 
-        The body is one flat fused loop: the per-event work of
-        :meth:`_fetch` / :meth:`_load` / :meth:`_store` — including the
-        cache fills, TLB/STLB walks, prefetch installs and the coherence
-        directory's no-other-holder fast paths — is inlined with every
-        shared structure and counter held in locals, flushed into the
-        returned :class:`SampleCounts` (and the per-level ``.stats``)
-        once.  Three locality fast paths shortcut provably state-free
-        work (see the inline proofs): repeat-page TLB probes on both
-        sides, repeat-line loads, and the lazily written-back stream
-        tracker.  Keep the reference methods and this kernel in lockstep
-        — the equivalence tests pin them together.
+        The body is one flat fused loop: the per-event fetch, load and
+        store work — including the cache fills, TLB/STLB walks, prefetch
+        installs and the coherence directory's no-other-holder fast paths
+        — is inlined with every shared structure and counter held in
+        locals, flushed into the returned :class:`SampleCounts` (and the
+        per-level ``.stats``) once.  Three locality fast paths shortcut
+        provably state-free work (see the inline proofs): repeat-page TLB
+        probes on both sides, repeat-line loads, and the lazily
+        written-back stream tracker.
 
         Args:
             sample: The compacted sample to simulate.
@@ -688,9 +318,9 @@ class CoreModel:
         #   ``last_mline`` and is written back to the dict only when the
         #   page changes (or at sample end).  Plain-dict value updates
         #   never reorder keys, so the dict's key order — which drives
-        #   the FIFO tracker eviction — matches the eagerly written
-        #   reference dict at every step, and no other code reads the
-        #   trackers mid-sample.
+        #   the FIFO tracker eviction — matches an eagerly written dict
+        #   at every step, and no other code reads the trackers
+        #   mid-sample.
         last_ipage = -1
         last_dpage = -1
         last_mline = -1
@@ -1210,8 +840,6 @@ class CoreModel:
         counts.x87_ops = tallies.fp_x87
         counts.sse_ops = tallies.fp_sse
         if not discard:
-            from repro.arch.batch import mlp_from_deadlines
-
             counts.mlp_sum, counts.mlp_active = mlp_from_deadlines(
                 push_ticks, push_deadlines, sample.n_ops
             )

@@ -182,7 +182,6 @@ class Processor:
         ops_per_core: int = 8000,
         warmup_fraction: float = 0.3,
         prewarm: bool = True,
-        engine: str = "batched",
         plan: PhasePlan | None = None,
     ) -> dict[str, float]:
         """Simulate one phase and return scaled raw events.
@@ -198,12 +197,9 @@ class Processor:
             prewarm: Install the steady-state resident set first.
                 ``run_workload`` pre-warms once with the union footprint
                 and disables the per-phase pass.
-            engine: ``"batched"`` compacts each sample to its interesting
-                events first (:mod:`repro.arch.batch`); ``"windowed"`` is
-                the per-op reference loop.  Bit-identical by contract.
-            plan: Pre-synthesised samples for this phase (batched engine
-                only); when given, ``rng`` is not consumed — the caller
-                already drew the phase's randomness into the plan.
+            plan: Pre-synthesised samples for this phase; when given,
+                ``rng`` is not consumed — the caller already drew the
+                phase's randomness into the plan.
 
         Raises:
             ConfigurationError: If ``active_cores`` exceeds the socket.
@@ -215,36 +211,30 @@ class Processor:
             )
         if ops_per_core <= 0:
             raise ConfigurationError("ops_per_core must be positive")
-        if engine not in ("batched", "windowed"):
-            raise ConfigurationError(f"unknown simulation engine: {engine!r}")
 
-        total = SampleCounts()
         cores = self.cores[:active_cores]
-        if engine == "batched":
-            if plan is None:
-                plan = plan_workload(
-                    [profile],
-                    rng,
-                    [core.core_id for core in cores],
-                    ops_per_core,
-                    warmup_fraction,
-                )[0]
-            for core, warmup in zip(cores, plan.warmups):
-                if prewarm:
-                    core.prewarm(profile)  # steady-state resident set
-                core.run_compact(warmup, discard=True)  # ramp-up, discarded
-            for core, measured in zip(cores, plan.measured):
-                _merge_counts(total, core.run_compact(measured))
-        else:
-            warmup_ops = max(1, int(ops_per_core * warmup_fraction))
-            for core in cores:
-                if prewarm:
-                    core.prewarm(profile)  # steady-state resident set
-                core.run_sample(profile, warmup_ops, rng)  # ramp-up, discarded
-            for core in cores:
-                part = core.run_sample(profile, ops_per_core, rng)
-                _merge_counts(total, part)
+        if plan is None:
+            plan = plan_workload(
+                [profile],
+                rng,
+                [core.core_id for core in cores],
+                ops_per_core,
+                warmup_fraction,
+            )[0]
+        total = SampleCounts()
+        for core, warmup in zip(cores, plan.warmups):
+            if prewarm:
+                core.prewarm(profile)  # steady-state resident set
+            core.run_compact(warmup, discard=True)  # ramp-up, discarded
+        for core, measured in zip(cores, plan.measured):
+            _merge_counts(total, core.run_compact(measured))
+        return self.phase_events(profile, total)
 
+    def phase_events(
+        self, profile: PhaseProfile, total: SampleCounts
+    ) -> dict[str, float]:
+        """Cycle-account a phase's merged sample counters as raw events,
+        scaled from the sample to the phase's nominal instructions."""
         accounting = self._cycle_model.account(total, profile.uops_per_instruction)
         scale = profile.instructions / max(1, total.instructions)
         return events_from_sample(total, accounting, scale)
@@ -256,25 +246,22 @@ class Processor:
         active_cores: int = 4,
         ops_per_core: int = 8000,
         warmup_fraction: float = 0.3,
-        engine: str = "batched",
         plan: list[PhasePlan] | None = None,
     ) -> dict[str, float]:
         """Simulate a workload's phases back to back and sum raw events.
 
         Private core state is flushed before the first phase (a fresh
         process); it persists *across* phases of the same workload, as it
-        would on real hardware.
+        would on real hardware.  Every window's synthesis is hoisted
+        ahead of all simulation (simulation consumes no randomness, so
+        the draw order — and hence the result — is unchanged).
 
         Args:
-            engine: See :meth:`run_phase`.  With the batched engine every
-                window's synthesis is hoisted ahead of all simulation
-                (simulation consumes no randomness, so the draw order —
-                and hence the result — is unchanged).
             plan: Pre-synthesised plan for all phases, one
-                :class:`~repro.arch.batch.PhasePlan` per profile in order
-                (batched engine only).  Callers batching across slaves or
-                workloads pass plans built from each slave's own rng with
-                a shared scratch; ``rng`` is then not consumed here.
+                :class:`~repro.arch.batch.PhasePlan` per profile in order.
+                Callers batching across slaves or workloads pass plans
+                built from each slave's own rng with a shared scratch;
+                ``rng`` is then not consumed here.
         """
         if not profiles:
             raise ConfigurationError("run_workload needs at least one phase profile")
@@ -290,7 +277,7 @@ class Processor:
         try:
             return self._run_workload_inner(
                 profiles, rng, active_cores, ops_per_core,
-                warmup_fraction, engine, plan,
+                warmup_fraction, plan,
             )
         finally:
             if gc_was_enabled:
@@ -303,9 +290,44 @@ class Processor:
         active_cores: int,
         ops_per_core: int,
         warmup_fraction: float,
-        engine: str,
         plan: list[PhasePlan] | None,
     ) -> dict[str, float]:
+        self.start_workload(profiles, active_cores)
+        if plan is None:
+            plan = plan_workload(
+                profiles,
+                rng,
+                [core.core_id for core in self.cores[:active_cores]],
+                ops_per_core,
+                warmup_fraction,
+            )
+        sampler = current_timeline()
+        totals: dict[str, float] = {}
+        for window, profile in enumerate(profiles):
+            events = self.run_phase(
+                profile,
+                rng,
+                active_cores=active_cores,
+                ops_per_core=ops_per_core,
+                warmup_fraction=warmup_fraction,
+                prewarm=False,
+                plan=plan[window],
+            )
+            if sampler is not None:
+                # Observational: the sampler copies `events` and derives
+                # window metrics from the copy — the measurement is done.
+                sampler.sim_window(
+                    window, profile.name, profile.instructions, events
+                )
+            for name, value in events.items():
+                totals[name] = totals.get(name, 0.0) + value
+        return totals
+
+    def start_workload(
+        self, profiles: list[PhaseProfile], active_cores: int
+    ) -> None:
+        """Flush all state, then pre-warm the active cores once with the
+        union footprint of ``profiles`` (the L3 divided between them)."""
         self.reset()
         union = _union_footprint(profiles)
         l3_lines = self.config.l3_size // 64
@@ -324,36 +346,6 @@ class Processor:
                 private_budget_lines=private_budget,
                 install_shared_and_code=(index == 0),
             )
-        if engine == "batched" and plan is None:
-            plan = plan_workload(
-                profiles,
-                rng,
-                [core.core_id for core in self.cores[:active_cores]],
-                ops_per_core,
-                warmup_fraction,
-            )
-        sampler = current_timeline()
-        totals: dict[str, float] = {}
-        for window, profile in enumerate(profiles):
-            events = self.run_phase(
-                profile,
-                rng,
-                active_cores=active_cores,
-                ops_per_core=ops_per_core,
-                warmup_fraction=warmup_fraction,
-                prewarm=False,
-                engine=engine,
-                plan=plan[window] if plan is not None else None,
-            )
-            if sampler is not None:
-                # Observational: the sampler copies `events` and derives
-                # window metrics from the copy — the measurement is done.
-                sampler.sim_window(
-                    window, profile.name, profile.instructions, events
-                )
-            for name, value in events.items():
-                totals[name] = totals.get(name, 0.0) + value
-        return totals
 
     def reset(self) -> None:
         """Flush all cores, the L3 and the coherence directory."""

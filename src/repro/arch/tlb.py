@@ -23,9 +23,6 @@ __all__ = [
     "Tlb",
     "TlbHierarchy",
     "TlbStats",
-    "TRANSLATE_L1_HIT",
-    "TRANSLATE_STLB_HIT",
-    "TRANSLATE_PAGE_WALK",
 ]
 
 PAGE_SHIFT = 12  # 4 KiB pages
@@ -95,13 +92,6 @@ class TlbStats:
         return self.stlb_hits + self.walks
 
 
-#: Integer codes returned by :meth:`TlbHierarchy.translate_packed` — the
-#: hot path avoids building a :class:`TlbLookup` per translation.
-TRANSLATE_L1_HIT = 0
-TRANSLATE_STLB_HIT = 1
-TRANSLATE_PAGE_WALK = 2
-
-
 class Tlb:
     """One set-associative TLB level with LRU replacement over page numbers."""
 
@@ -159,49 +149,18 @@ class TlbHierarchy:
         self.stats = TlbStats()
 
     def translate(self, addr: int) -> TlbLookup:
-        """Translate byte address ``addr``, filling TLBs on the way.
-
-        Convenience wrapper over :meth:`translate_packed`; the simulator
-        hot path uses the packed form to avoid a ``TlbLookup`` per access.
-        """
-        code = self.translate_packed(addr)
-        if code == TRANSLATE_L1_HIT:
-            return _L1_HIT
-        if code == TRANSLATE_STLB_HIT:
-            return TlbLookup(TlbOutcome.STLB_HIT, walk_cycles=self.STLB_FILL_CYCLES)
-        return TlbLookup(TlbOutcome.PAGE_WALK, walk_cycles=self.PAGE_WALK_CYCLES)
-
-    def translate_packed(self, addr: int) -> int:
-        """Translate ``addr``; return a ``TRANSLATE_*`` code (no allocation).
-
-        The overwhelmingly common case — an L1 TLB hit — is inlined here
-        rather than dispatched through :meth:`Tlb.lookup`.
-        """
+        """Translate byte address ``addr``, filling TLBs on the way."""
         page = addr >> PAGE_SHIFT
-        l1 = self.l1
-        tlb_set = l1._sets[page & l1._set_mask]
-        if page in tlb_set:
-            tlb_set.move_to_end(page)
-            self.stats.l1_hits += 1
-            return TRANSLATE_L1_HIT
-        return self.translate_miss(page)
-
-    def translate_miss(self, page: int) -> int:
-        """Finish a translation whose L1 TLB probe missed (slow path).
-
-        Split out so the core model can inline the L1 probe and only pay
-        a call on a first-level miss.
-
-        Returns:
-            ``TRANSLATE_STLB_HIT`` or ``TRANSLATE_PAGE_WALK``.
-        """
-        if self.stlb.lookup(page):
-            self.stats.stlb_hits += 1
-            self.l1.fill(page)
-            return TRANSLATE_STLB_HIT
         stats = self.stats
+        if self.l1.lookup(page):
+            stats.l1_hits += 1
+            return _L1_HIT
+        if self.stlb.lookup(page):
+            stats.stlb_hits += 1
+            self.l1.fill(page)
+            return TlbLookup(TlbOutcome.STLB_HIT, walk_cycles=self.STLB_FILL_CYCLES)
         stats.walks += 1
         stats.walk_cycles += self.PAGE_WALK_CYCLES
         self.stlb.fill(page)
         self.l1.fill(page)
-        return TRANSLATE_PAGE_WALK
+        return TlbLookup(TlbOutcome.PAGE_WALK, walk_cycles=self.PAGE_WALK_CYCLES)

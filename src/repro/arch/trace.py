@@ -6,9 +6,9 @@ instrumentation layer (:mod:`repro.stacks.instrument`) condenses each
 execution phase (map, shuffle, reduce, RDD stage, scan, join build ...)
 into a :class:`PhaseProfile`: an aggregate description of the instruction
 mix, code and data footprints, locality, sharing and branch behaviour that
-the phase exhibited.  :func:`synthesize_ops` then expands a profile into a
-sampled stream of concrete operations with concrete addresses, which
-:class:`repro.arch.core_model.CoreModel` simulates against real tag
+the phase exhibited.  :func:`synthesize_columns` then expands a profile
+into a sampled stream of concrete operations with concrete addresses,
+which :class:`repro.arch.core_model.CoreModel` simulates against real tag
 arrays, TLBs, branch tables and the coherence bus.
 
 Two design points matter for realism:
@@ -42,16 +42,13 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "OpKind",
-    "MemOp",
-    "OpStream",
     "OpTallies",
     "StreamColumns",
     "SynthScratch",
     "OP_FETCH_FLAG",
+    "OP_CODE_MASK",
     "InstructionMix",
     "PhaseProfile",
-    "synthesize_ops",
-    "synthesize_stream",
     "synthesize_columns",
     "merge_profiles",
     "OP_LOAD",
@@ -100,7 +97,7 @@ class OpKind(enum.Enum):
 
 #: Integer operation codes used on the simulator hot path.  The order
 #: matches :meth:`InstructionMix.as_probabilities` so a mix draw *is* the
-#: op code.  :data:`KIND_FROM_CODE` maps a code back to its :class:`OpKind`.
+#: op code.
 OP_LOAD = 0
 OP_STORE = 1
 OP_BRANCH = 2
@@ -109,47 +106,17 @@ OP_FP_X87 = 4
 OP_FP_SSE = 5
 OP_OTHER = 6
 
-KIND_FROM_CODE: tuple[OpKind, ...] = (
-    OpKind.LOAD,
-    OpKind.STORE,
-    OpKind.BRANCH,
-    OpKind.INT_ALU,
-    OpKind.FP_X87,
-    OpKind.FP_SSE,
-    OpKind.OTHER,
-)
-
-
-class MemOp(NamedTuple):
-    """One synthesised operation (convenience view; the hot path consumes
-    the parallel arrays of :class:`OpStream` instead).
-
-    Attributes:
-        kind: Operation class.
-        address: Byte address for LOAD/STORE; branch-site PC for BRANCH;
-            0 otherwise.
-        kernel: Whether the instruction executes in ring 0.
-        taken: Branch outcome (meaningful only for BRANCH ops).
-        shared: Whether a LOAD/STORE targets the shared data region.
-    """
-
-    kind: OpKind
-    address: int = 0
-    kernel: bool = False
-    taken: bool = False
-    shared: bool = False
-
-
-#: Bit set in :attr:`OpStream.codes` when the op's fetch PC enters a new
-#: 16-byte fetch block (i.e. the frontend must probe the L1I).  The
+#: Bit set in :attr:`StreamColumns.codes` when the op's fetch PC enters a
+#: new 16-byte fetch block (i.e. the frontend must probe the L1I).  The
 #: boundary test is a pure function of the PC column, so it is computed
-#: vectorised at synthesis time instead of per-op in the simulation loop.
+#: vectorised at synthesis time instead of per op in the simulation loop.
 OP_FETCH_FLAG = 8
-_OP_CODE_MASK = OP_FETCH_FLAG - 1
+#: Masks a code with :data:`OP_FETCH_FLAG` back to its bare ``OP_*`` code.
+OP_CODE_MASK = OP_FETCH_FLAG - 1
 
 
 class OpTallies(NamedTuple):
-    """Per-class op counts of one synthesised sample (see ``OpStream``)."""
+    """Per-class op counts of one synthesised sample (see ``StreamColumns``)."""
 
     loads: int
     stores: int
@@ -158,37 +125,6 @@ class OpTallies(NamedTuple):
     fp_x87: int
     fp_sse: int
     kernel: int
-
-
-class OpStream(NamedTuple):
-    """A synthesised sample as parallel plain-``list`` columns.
-
-    One ``OpStream`` replaces ``n_ops`` :class:`MemOp` allocations — the
-    core model indexes the columns directly, which is what lets a sample
-    of tens of thousands of operations simulate without creating a Python
-    object per instruction.
-
-    Attributes:
-        codes: Per instruction, the ``OP_*`` operation code in the low
-            bits plus :data:`OP_FETCH_FLAG` when this op starts a new
-            16-byte fetch block (mask with ``~OP_FETCH_FLAG`` for the
-            bare code).
-        addresses: Byte address (LOAD/STORE), branch-site PC (BRANCH), or 0.
-        kernels: Ring-0 flag per instruction.
-        takens: Branch outcome (False for non-branches).
-        shareds: Whether a LOAD/STORE targets the shared data region.
-        pcs: Fetch PC per instruction.
-        tallies: Per-class op counts, pre-computed vectorised so the
-            simulation loop does not tally per op.
-    """
-
-    codes: list[int]
-    addresses: list[int]
-    kernels: list[bool]
-    takens: list[bool]
-    shareds: list[bool]
-    pcs: list[int]
-    tallies: OpTallies
 
 
 @dataclass(frozen=True)
@@ -239,7 +175,7 @@ class PhaseProfile:
     """Aggregate description of one execution phase.
 
     Produced by :mod:`repro.stacks.instrument` from real engine activity
-    and consumed by the core model via :func:`synthesize_ops`.
+    and expanded into sampled operations by :func:`synthesize_columns`.
 
     Attributes:
         name: Phase label (e.g. ``"map"``, ``"shuffle"``, ``"stage-2"``).
@@ -475,13 +411,22 @@ def _chain_offsets(
 
 
 class StreamColumns(NamedTuple):
-    """A synthesised sample as numpy columns (the pre-``tolist`` form).
+    """A synthesised sample as parallel numpy columns.
 
-    Shared between :func:`synthesize_stream` (which converts every column
-    to a plain list for the reference per-op loop) and the batched engine
-    (:mod:`repro.arch.batch`), which compacts the columns down to the
-    events the simulation actually has to walk.  ``codes`` carries
-    :data:`OP_FETCH_FLAG` exactly like :attr:`OpStream.codes`.
+    The simulation engine (:mod:`repro.arch.batch`) compacts the columns
+    down to the events the simulation actually has to walk.
+
+    Attributes:
+        codes: Per instruction, the ``OP_*`` operation code plus
+            :data:`OP_FETCH_FLAG` when this op starts a new 16-byte fetch
+            block (mask with :data:`OP_CODE_MASK` for the bare code).
+        addresses: Byte address (LOAD/STORE), branch-site PC (BRANCH), or 0.
+        kernels: Ring-0 flag per instruction.
+        takens: Branch outcome (False for non-branches).
+        shareds: Whether a LOAD/STORE targets the shared data region.
+        pcs: Fetch PC per instruction.
+        tallies: Per-class op counts, computed vectorised so no
+            simulation loop tallies per op.
     """
 
     codes: np.ndarray
@@ -692,57 +637,3 @@ def synthesize_columns(
         pcs=pcs,
         tallies=tallies,
     )
-
-
-def synthesize_stream(
-    profile: PhaseProfile,
-    n_ops: int,
-    core_id: int,
-    rng: np.random.Generator,
-) -> OpStream:
-    """Expand ``profile`` into ``n_ops`` sampled operations for one core.
-
-    Returns:
-        An :class:`OpStream` of parallel plain-list columns — the form
-        the reference per-op simulation loop consumes.  This is a thin
-        ``tolist`` wrapper over :func:`synthesize_columns`; the batched
-        engine compacts the numpy columns directly instead.
-    """
-    cols = synthesize_columns(profile, n_ops, core_id, rng)
-    return OpStream(
-        codes=cols.codes.tolist(),
-        addresses=cols.addresses.tolist(),
-        kernels=cols.kernels.tolist(),
-        takens=cols.takens.tolist(),
-        shareds=cols.shareds.tolist(),
-        pcs=cols.pcs.tolist(),
-        tallies=cols.tallies,
-    )
-
-
-def synthesize_ops(
-    profile: PhaseProfile,
-    n_ops: int,
-    core_id: int,
-    rng: np.random.Generator,
-) -> tuple[list[MemOp], list[int]]:
-    """Expand ``profile`` into ``(ops, pcs)`` lists of :class:`MemOp`.
-
-    Convenience wrapper over :func:`synthesize_stream` producing one
-    :class:`MemOp` per instruction; the core model consumes the columnar
-    stream directly instead.
-    """
-    stream = synthesize_stream(profile, n_ops, core_id, rng)
-    kinds = KIND_FROM_CODE
-    mask = _OP_CODE_MASK
-    ops = [
-        MemOp(kinds[code & mask], address, kernel, taken, shared)
-        for code, address, kernel, taken, shared in zip(
-            stream.codes,
-            stream.addresses,
-            stream.kernels,
-            stream.takens,
-            stream.shareds,
-        )
-    ]
-    return ops, stream.pcs

@@ -1,11 +1,12 @@
-"""Bit-identity of the batched window engine vs the per-op reference.
+"""Bit-identity of the batched window engine vs the per-op oracle.
 
-The batched engine (``engine="batched"``, :mod:`repro.arch.batch`) must
-be indistinguishable from the windowed per-op loop: identical raw-event
-totals *and* an identical final RNG state, for any seed, any window
-count, under fault plans and with timeline sampling on.  These tests pin
-that invariant; the ``bench_speed --check`` gate re-verifies it on every
-CI run.
+The shipping engine (:mod:`repro.arch.batch` feeding
+``CoreModel.run_compact``) must be indistinguishable from the per-op
+reference loop in :mod:`tests.arch.reference_engine`, which draws each
+window as it runs: identical raw-event totals *and* an identical final
+RNG state, for any seed, any window count, under fault plans and with
+timeline sampling on.  These tests pin that invariant; the
+``bench_speed --check`` gate re-verifies it on every CI run.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.obs.timeline import TimelineConfig
 from repro.stacks.instrument import profiles_from_trace
 from repro.workloads.base import RunContext
 from repro.workloads.suite import SUITE
+from tests.arch import reference_engine
 
 
 @pytest.fixture(scope="module")
@@ -33,19 +35,16 @@ def profiles():
     return profiles_from_trace(run.trace, workload.hints, num_workers=4)
 
 
-def run_engine(profiles, engine, seed, *, active_cores=2, ops_per_core=1500,
-               plan=None):
-    """One fresh-processor run_workload; returns (events, final rng state)."""
+def run_engine(profiles, engine, seed, *, active_cores=2, ops_per_core=1500):
+    """One fresh-processor run of ``"batched"`` (the shipping engine) or
+    ``"windowed"`` (the per-op oracle); returns (events, final rng state)."""
     processor = Processor()
     rng = np.random.default_rng(seed)
-    events = processor.run_workload(
-        profiles,
-        rng,
-        active_cores=active_cores,
-        ops_per_core=ops_per_core,
-        engine=engine,
-        plan=plan,
-    )
+    kwargs = dict(active_cores=active_cores, ops_per_core=ops_per_core)
+    if engine == "batched":
+        events = processor.run_workload(profiles, rng, **kwargs)
+    else:
+        events = reference_engine.run_workload(processor, profiles, rng, **kwargs)
     return events, rng.bit_generator.state
 
 
@@ -69,9 +68,7 @@ class TestEngineEquivalence:
         """The 0-window edge is a loud error on both paths, not a skew."""
         for engine in ("windowed", "batched"):
             with pytest.raises(ConfigurationError):
-                Processor().run_workload(
-                    [], np.random.default_rng(0), engine=engine
-                )
+                run_engine([], engine, 0)
 
     def test_externally_built_plan_is_equivalent(self, profiles):
         """A plan hoisted by the caller (shared scratch, rng pre-drawn)
@@ -134,17 +131,14 @@ class TestEquivalenceUnderObservation:
     def test_batched_collection_matches_windowed(self, monkeypatch):
         batched = self._characterize()
 
-        original = Processor.run_workload
-
         def force_windowed(self, profiles, rng, **kwargs):
             kwargs.pop("plan", None)
-            kwargs["engine"] = "windowed"
-            return original(self, profiles, rng, **kwargs)
+            return reference_engine.run_workload(self, profiles, rng, **kwargs)
 
         with monkeypatch.context() as patch:
             # The testbed pre-draws each slave's synthesis into a plan;
-            # the windowed reference must receive the rng *unconsumed*
-            # and draw per window itself, so stub the pre-planning out.
+            # the per-op oracle must receive the rng *unconsumed* and
+            # draw per window itself, so stub the pre-planning out.
             import repro.cluster.testbed as testbed_mod
 
             patch.setattr(

@@ -4,15 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch.cache import (
-    ACCESS_EVICTED,
-    ACCESS_HIT,
-    ACCESS_VICTIM_SHIFT,
-    ACCESS_WRITEBACK,
-    CacheConfig,
-    SetAssociativeCache,
-    unpack_access,
-)
+from repro.arch.cache import CacheAccess, CacheConfig, SetAssociativeCache
 from repro.errors import ConfigurationError
 
 
@@ -121,13 +113,6 @@ class TestCoherenceSurface:
         cache = small_cache()
         assert cache.set_dirty(12345) is False
 
-    def test_mark_clean(self):
-        cache = small_cache()
-        cache.access(0, is_write=True)
-        line = cache.line_address(0)
-        cache.mark_clean(line)
-        assert not cache.is_dirty(line)
-
     def test_install_line_does_not_touch_demand_stats(self):
         cache = small_cache()
         cache.install_line(5)
@@ -143,32 +128,16 @@ class TestCoherenceSurface:
 
 
 class TestPackedProtocol:
-    """Pin the allocation-free packed-int protocol to CacheAccess semantics."""
+    """Eviction, write-back and silent-install cases of ``access()``."""
 
-    def test_hit_is_exactly_one_and_victimless_miss_exactly_zero(self):
-        cache = small_cache()
-        assert cache.access_packed(0x1000) == 0  # cold miss, set not full
-        assert cache.access_packed(0x1000) == ACCESS_HIT
-
-    def test_packed_eviction_encodes_victim_line(self):
+    def test_eviction_reports_victim_line(self):
         cache = small_cache(assoc=1, sets=1)
-        cache.access_packed(0 * 64, True)  # dirty line 0
-        packed = cache.access_packed(1 * 64)
-        assert packed & ACCESS_EVICTED
-        assert packed & ACCESS_WRITEBACK
-        assert not packed & ACCESS_HIT
-        assert packed >> ACCESS_VICTIM_SHIFT == 0  # victim line 0, unambiguous
-
-    def test_unpack_matches_access(self):
-        for is_write in (False, True):
-            packed_cache = small_cache(assoc=1, sets=1)
-            plain_cache = small_cache(assoc=1, sets=1)
-            for addr in (0, 64, 64, 0):
-                line = addr >> 6
-                via_packed = unpack_access(
-                    packed_cache.access_packed(addr, is_write), line
-                )
-                assert via_packed == plain_cache.access(addr, is_write)
+        cache.access(0 * 64, True)  # dirty line 0
+        result = cache.access(1 * 64)
+        # Victim line 0 is reported as 0, not confused with "no victim".
+        assert result == CacheAccess(
+            hit=False, line_addr=1, evicted_line=0, writeback=True
+        )
 
     def test_lru_order_under_mixed_hit_and_write(self):
         # A write hit refreshes recency exactly like a read hit does.
@@ -196,8 +165,9 @@ class TestPackedProtocol:
             CacheConfig("wt", size=128, associativity=1, line_size=64, write_back=False)
         )
         cache.access(0, is_write=True)
-        packed = cache.access_packed(64)
-        assert not packed & ACCESS_WRITEBACK
+        result = cache.access(128)  # same set: evicts the written line 0
+        assert result.evicted_line == 0
+        assert result.writeback is False
         assert cache.stats.writebacks == 0
 
     def test_install_line_touches_no_demand_stats_even_when_evicting(self):

@@ -1,8 +1,9 @@
-"""Tests for the per-core simulation engine."""
+"""Tests for the per-core simulation engine (``CoreModel.run_compact``)."""
 
 import numpy as np
 import pytest
 
+from repro.arch.batch import synthesize_compact
 from repro.arch.cache import CacheConfig, SetAssociativeCache
 from repro.arch.coherence import CoherenceDirectory
 from repro.arch.core_model import CoreModel
@@ -20,6 +21,11 @@ def make_core(core_id: int = 0, shared=None):
     return CoreModel(core_id, l3, directory), (l3, directory)
 
 
+def run_sample(core, p, n_ops, rng):
+    """Synthesise ``n_ops`` ops of ``p`` for ``core`` and simulate them."""
+    return core.run_compact(synthesize_compact(p, n_ops, core.core_id, rng))
+
+
 def profile(**overrides) -> PhaseProfile:
     defaults = dict(
         name="p",
@@ -34,7 +40,7 @@ def profile(**overrides) -> PhaseProfile:
 
 def test_sample_counts_basic_consistency():
     core, _ = make_core()
-    counts = core.run_sample(profile(), 5000, np.random.default_rng(1))
+    counts = run_sample(core, profile(), 5000, np.random.default_rng(1))
     assert counts.instructions == 5000
     assert counts.loads + counts.stores > 0
     assert counts.l1i_hits + counts.l1i_misses == counts.l1i_accesses
@@ -53,8 +59,8 @@ def test_small_footprint_mostly_hits():
     core, _ = make_core()
     p = profile(code_footprint=4096, data_working_set=8192, hot_data_fraction=0.9)
     core.prewarm(p)
-    core.run_sample(p, 2000, np.random.default_rng(2))  # warm
-    counts = core.run_sample(p, 5000, np.random.default_rng(3))
+    run_sample(core, p, 2000, np.random.default_rng(2))  # warm
+    counts = run_sample(core, p, 5000, np.random.default_rng(3))
     assert counts.load_llc_miss / counts.instructions < 0.01
 
 
@@ -66,21 +72,23 @@ def test_bigger_code_footprint_more_l1i_misses():
     big_p = profile(code_footprint=4 * 1024 * 1024)
     small_core.prewarm(small_p)
     big_core.prewarm(big_p)
-    small = small_core.run_sample(small_p, 8000, rng)
-    big = big_core.run_sample(big_p, 8000, np.random.default_rng(4))
+    small = run_sample(small_core, small_p, 8000, rng)
+    big = run_sample(big_core, big_p, 8000, np.random.default_rng(4))
     assert big.l1i_misses > small.l1i_misses
 
 
 def test_bigger_working_set_more_dtlb_walks():
     a_core, _ = make_core()
     b_core, _ = make_core()
-    small = a_core.run_sample(
+    small = run_sample(
+        a_core,
         profile(data_working_set=1 << 20, hot_data_fraction=0.1,
                 data_streaming_fraction=0.1),
         8000,
         np.random.default_rng(5),
     )
-    large = b_core.run_sample(
+    large = run_sample(
+        b_core,
         profile(data_working_set=256 << 20, hot_data_fraction=0.1,
                 data_streaming_fraction=0.1, data_tail_fraction=0.5),
         8000,
@@ -98,8 +106,8 @@ def test_sharing_produces_snoop_traffic():
         shared_write_fraction=0.3,
     )
     rng = np.random.default_rng(6)
-    core0.run_sample(p, 6000, rng)
-    counts1 = core1.run_sample(p, 6000, rng)
+    run_sample(core0, p, 6000, rng)
+    counts1 = run_sample(core1, p, 6000, rng)
     snoops = counts1.snoop_hit + counts1.snoop_hite + counts1.snoop_hitm
     assert snoops > 0
     assert counts1.load_hit_sibling > 0
@@ -110,8 +118,8 @@ def test_no_sharing_no_snoops():
     core1, _ = make_core(1, shared)
     p = profile(shared_fraction=0.0)
     rng = np.random.default_rng(7)
-    core0.run_sample(p, 4000, rng)
-    counts1 = core1.run_sample(p, 4000, rng)
+    run_sample(core0, p, 4000, rng)
+    counts1 = run_sample(core1, p, 4000, rng)
     assert counts1.snoop_hit + counts1.snoop_hite + counts1.snoop_hitm == 0
 
 
@@ -121,16 +129,16 @@ def test_prewarm_reduces_llc_misses():
     p = profile(data_working_set=8 << 20, hot_data_fraction=0.2)
     rng_a = np.random.default_rng(8)
     rng_b = np.random.default_rng(8)
-    cold = cold_core.run_sample(p, 6000, rng_a)
+    cold = run_sample(cold_core, p, 6000, rng_a)
     warm_core.prewarm(p)
-    warm = warm_core.run_sample(p, 6000, rng_b)
+    warm = run_sample(warm_core, p, 6000, rng_b)
     assert warm.load_llc_miss < cold.load_llc_miss
 
 
 def test_reset_clears_private_state():
     core, _ = make_core()
     p = profile()
-    core.run_sample(p, 3000, np.random.default_rng(9))
+    run_sample(core, p, 3000, np.random.default_rng(9))
     core.reset()
     assert core.l1d.resident_lines == 0
     assert core.l1i.resident_lines == 0
@@ -142,6 +150,6 @@ def test_determinism():
     a_core, _ = make_core()
     b_core, _ = make_core()
     p = profile(kernel_fraction=0.2, shared_fraction=0.1)
-    a = a_core.run_sample(p, 5000, np.random.default_rng(10))
-    b = b_core.run_sample(p, 5000, np.random.default_rng(10))
+    a = run_sample(a_core, p, 5000, np.random.default_rng(10))
+    b = run_sample(b_core, p, 5000, np.random.default_rng(10))
     assert vars(a) == vars(b)

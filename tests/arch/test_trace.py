@@ -8,12 +8,17 @@ from hypothesis import strategies as st
 from repro.arch.trace import (
     HOT_REGION_BYTES,
     KERNEL_CODE_BASE,
+    OP_BRANCH,
+    OP_CODE_MASK,
+    OP_LOAD,
+    OP_STORE,
     SHARED_DATA_BASE,
+    USER_CODE_BASE,
     InstructionMix,
-    OpKind,
     PhaseProfile,
+    StreamColumns,
     merge_profiles,
-    synthesize_ops,
+    synthesize_columns,
 )
 from repro.errors import ConfigurationError
 
@@ -81,71 +86,75 @@ class TestPhaseProfileValidation:
         assert base.scaled(1e-9).instructions == 1  # floor at one
 
 
+def synthesize(p, n_ops, core_id, seed):
+    """Synthesise a sample; returns (columns, bare op codes)."""
+    cols = synthesize_columns(p, n_ops, core_id, np.random.default_rng(seed))
+    return cols, cols.codes & OP_CODE_MASK
+
+
 class TestSynthesis:
     def test_deterministic_given_seed(self):
         p = profile(kernel_fraction=0.2, shared_fraction=0.2)
-        a_ops, a_pcs = synthesize_ops(p, 2000, 0, np.random.default_rng(5))
-        b_ops, b_pcs = synthesize_ops(p, 2000, 0, np.random.default_rng(5))
-        assert a_ops == b_ops
-        assert a_pcs == b_pcs
+        a, _ = synthesize(p, 2000, 0, 5)
+        b, _ = synthesize(p, 2000, 0, 5)
+        for field in StreamColumns._fields:
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
     def test_mix_fractions_are_respected(self):
-        ops, _ = synthesize_ops(profile(), 20_000, 0, np.random.default_rng(1))
-        loads = sum(1 for op in ops if op.kind is OpKind.LOAD)
-        branches = sum(1 for op in ops if op.kind is OpKind.BRANCH)
-        assert loads / len(ops) == pytest.approx(0.25, abs=0.03)
-        assert branches / len(ops) == pytest.approx(0.18, abs=0.03)
+        _, codes = synthesize(profile(), 20_000, 0, 1)
+        assert np.mean(codes == OP_LOAD) == pytest.approx(0.25, abs=0.03)
+        assert np.mean(codes == OP_BRANCH) == pytest.approx(0.18, abs=0.03)
 
     def test_kernel_fraction_is_respected_and_bursty(self):
         p = profile(kernel_fraction=0.3)
-        ops, _ = synthesize_ops(p, 30_000, 0, np.random.default_rng(2))
-        kernel = [op.kernel for op in ops]
-        assert sum(kernel) / len(kernel) == pytest.approx(0.3, abs=0.1)
+        cols, _ = synthesize(p, 30_000, 0, 2)
+        kernel = cols.kernels
+        assert kernel.mean() == pytest.approx(0.3, abs=0.1)
         # Bursty: far fewer mode switches than a Bernoulli process would
         # produce (expected ~2*p*(1-p)*n = 12600 switches; bursts -> few).
-        switches = sum(1 for a, b in zip(kernel, kernel[1:]) if a != b)
+        switches = np.count_nonzero(kernel[1:] != kernel[:-1])
         assert switches < 2000
 
     def test_shared_fraction_targets_shared_region(self):
         p = profile(shared_fraction=0.5, shared_working_set=1 << 20)
-        ops, _ = synthesize_ops(p, 20_000, 0, np.random.default_rng(3))
-        data_ops = [op for op in ops if op.kind in (OpKind.LOAD, OpKind.STORE)]
-        shared = [op for op in data_ops if op.shared]
-        assert len(shared) / len(data_ops) == pytest.approx(0.5, abs=0.05)
-        assert all(op.address >= SHARED_DATA_BASE for op in shared)
+        cols, codes = synthesize(p, 20_000, 0, 3)
+        data = codes <= OP_STORE
+        shared = data & cols.shareds
+        assert shared.sum() / data.sum() == pytest.approx(0.5, abs=0.05)
+        assert np.all(cols.addresses[shared] >= SHARED_DATA_BASE)
 
     def test_zero_shared_fraction_never_shares(self):
-        ops, _ = synthesize_ops(
-            profile(shared_fraction=0.0), 5_000, 0, np.random.default_rng(4)
-        )
-        assert not any(op.shared for op in ops)
+        cols, _ = synthesize(profile(shared_fraction=0.0), 5_000, 0, 4)
+        assert not cols.shareds.any()
 
     def test_kernel_ops_fetch_from_kernel_segment(self):
         p = profile(kernel_fraction=1.0)
-        ops, pcs = synthesize_ops(p, 1_000, 0, np.random.default_rng(5))
-        assert all(pc >= KERNEL_CODE_BASE for pc in pcs)
+        cols, _ = synthesize(p, 1_000, 0, 5)
+        assert np.all(cols.pcs >= KERNEL_CODE_BASE)
 
     def test_cores_have_disjoint_private_heaps(self):
         p = profile(shared_fraction=0.0)
-        ops0, _ = synthesize_ops(p, 5_000, 0, np.random.default_rng(6))
-        ops1, _ = synthesize_ops(p, 5_000, 1, np.random.default_rng(6))
-        addresses0 = {op.address for op in ops0 if op.kind is OpKind.LOAD}
-        addresses1 = {op.address for op in ops1 if op.kind is OpKind.LOAD}
+        cols0, codes0 = synthesize(p, 5_000, 0, 6)
+        cols1, codes1 = synthesize(p, 5_000, 1, 6)
+        addresses0 = set(cols0.addresses[codes0 == OP_LOAD].tolist())
+        addresses1 = set(cols1.addresses[codes1 == OP_LOAD].tolist())
         assert addresses0.isdisjoint(addresses1)
 
     def test_branch_outcomes_biased_at_low_entropy(self):
         p = profile(branch_entropy=0.0)
-        ops, _ = synthesize_ops(p, 20_000, 0, np.random.default_rng(7))
+        cols, codes = synthesize(p, 20_000, 0, 7)
+        branch = codes == OP_BRANCH
         by_site: dict[int, set[bool]] = {}
-        for op in ops:
-            if op.kind is OpKind.BRANCH:
-                by_site.setdefault(op.address, set()).add(op.taken)
+        for site, taken in zip(
+            cols.addresses[branch].tolist(), cols.takens[branch].tolist()
+        ):
+            by_site.setdefault(site, set()).add(taken)
         # Entropy 0 means each site is fully biased: one outcome per site.
         assert all(len(outcomes) == 1 for outcomes in by_site.values())
 
     def test_n_ops_must_be_positive(self):
         with pytest.raises(ConfigurationError):
-            synthesize_ops(profile(), 0, 0, np.random.default_rng(0))
+            synthesize(profile(), 0, 0, 0)
 
 
 class TestMergeProfiles:
@@ -174,10 +183,10 @@ class TestMergeProfiles:
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_synthesis_always_produces_requested_length(n_ops, seed):
-    ops, pcs = synthesize_ops(profile(), n_ops, 0, np.random.default_rng(seed))
-    assert len(ops) == n_ops
-    assert len(pcs) == n_ops
-    assert all(op.address >= 0 for op in ops)
+    cols, _ = synthesize(profile(), n_ops, 0, seed)
+    for field in StreamColumns._fields[:-1]:  # every column but tallies
+        assert len(getattr(cols, field)) == n_ops, field
+    assert np.all(cols.addresses >= 0)
 
 
 @settings(max_examples=15, deadline=None)
@@ -185,15 +194,9 @@ def test_synthesis_always_produces_requested_length(n_ops, seed):
 def test_synthesis_address_invariants(seed):
     """Data addresses are 8-byte aligned; branch PCs sit in the user code
     region; only LOAD/STORE ops carry the shared flag."""
-    from repro.arch.trace import USER_CODE_BASE
-
     p = profile(kernel_fraction=0.3, shared_fraction=0.3)
-    ops, _pcs = synthesize_ops(p, 1500, 0, np.random.default_rng(seed))
-    for op in ops:
-        if op.kind in (OpKind.LOAD, OpKind.STORE):
-            assert op.address % 8 == 0
-        elif op.kind is OpKind.BRANCH:
-            assert op.address >= USER_CODE_BASE
-            assert not op.shared
-        else:
-            assert not op.shared
+    cols, codes = synthesize(p, 1500, 0, seed)
+    data = codes <= OP_STORE
+    assert np.all(cols.addresses[data] % 8 == 0)
+    assert np.all(cols.addresses[codes == OP_BRANCH] >= USER_CODE_BASE)
+    assert not cols.shareds[~data].any()

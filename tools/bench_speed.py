@@ -16,10 +16,10 @@ the performance trajectory:
    against the seed-revision time recorded for this exact microbenchmark
    (``SEED_BASELINE_S``); absolute numbers are machine-dependent, the
    ratio on one machine is the tracked quantity.
-2. **Engine comparison** — the batched window engine vs the per-op
-   windowed reference on the same profiles: wall-time ratio, plus a
-   hard assertion that both produce bit-identical event totals *and*
-   leave the RNG in the identical state.
+2. **Engine bit identity** — a hard assertion that the shipping engine
+   and the per-op test oracle (``tests/arch/reference_engine.py``)
+   produce bit-identical event totals *and* leave the RNG in the
+   identical state on the same profiles.
 3. **Parallel collection scaling** — ``characterize_suite`` over an
    8-workload subset with ``workers=1`` vs ``workers=N`` (the
    persistent worker pool), asserting the two metric matrices are
@@ -74,6 +74,7 @@ from repro.service.store import CACHE_DIR_ENV  # noqa: E402
 from repro.stacks.instrument import profiles_from_trace  # noqa: E402
 from repro.workloads.base import RunContext  # noqa: E402
 from repro.workloads.suite import SUITE  # noqa: E402
+from tests.arch import reference_engine  # noqa: E402
 
 #: Acceptance bar: disabled tracing must cost less than this fraction of
 #: the untraced run.
@@ -92,15 +93,8 @@ SEED_BASELINE_S = 2.380
 #: engine sustains ~3x on an idle reference machine, but the baseline is
 #: a recorded constant while shared hosts drift ±40% between runs — so
 #: this absolute floor is deliberately loose (it catches "the
-#: optimization fell off a cliff", not small slips).  The noise-immune
-#: regression signal is :data:`ENGINE_SPEEDUP_FLOOR`, a same-run ratio.
+#: optimization fell off a cliff", not small slips).
 SINGLE_THREAD_SPEEDUP_FLOOR = 1.8
-
-#: ``--check`` floor on ``engine.batched_speedup`` — batched vs windowed
-#: measured back-to-back in the same process, so host-speed variance
-#: cancels.  The batched engine sustains ~1.5x over the per-op reference
-#: on the same profiles.
-ENGINE_SPEEDUP_FLOOR = 1.3
 
 #: ``--check`` floor on ``collection.parallel_speedup`` — enforced only
 #: when ``environment.parallel_meaningful`` (≥2 usable CPUs): with the
@@ -161,8 +155,8 @@ def _time_single_thread(trials: int = _MICRO_TRIALS) -> float:
     return best_of(passes, trials)
 
 
-def _compare_engines(smoke: bool) -> dict:
-    """Batched vs per-op windowed engine: bit identity, then wall time.
+def _compare_engines() -> dict:
+    """Shipping engine vs the per-op test oracle: bit identity.
 
     Bit identity is the invariant the whole batched design rests on:
     identical event totals *and* an identical final RNG state (the
@@ -170,35 +164,23 @@ def _compare_engines(smoke: bool) -> dict:
     an unchanged order).
     """
     profiles = _workload_profiles()
+    kwargs = dict(active_cores=3, ops_per_core=4000)
 
-    def once(engine: str):
-        processor = Processor()
-        rng = np.random.default_rng(1234)
-        events = processor.run_workload(
-            profiles, rng, active_cores=3, ops_per_core=4000, engine=engine
-        )
-        return events, rng.bit_generator.state
-
-    windowed_events, windowed_state = once("windowed")
-    batched_events, batched_state = once("batched")
-    bit_identical = (
-        windowed_events == batched_events and windowed_state == batched_state
+    shipping_rng = np.random.default_rng(1234)
+    shipping = Processor().run_workload(profiles, shipping_rng, **kwargs)
+    oracle_rng = np.random.default_rng(1234)
+    oracle = reference_engine.run_workload(
+        Processor(), profiles, oracle_rng, **kwargs
     )
-    if not bit_identical:
+    if (
+        shipping != oracle
+        or shipping_rng.bit_generator.state != oracle_rng.bit_generator.state
+    ):
         raise AssertionError(
-            "batched engine diverged from the windowed reference "
+            "the simulation engine diverged from the per-op oracle "
             "(event totals or RNG state differ)"
         )
-
-    trials = 1 if smoke else _MICRO_TRIALS
-    windowed_s = best_of(lambda: once("windowed"), trials)
-    batched_s = best_of(lambda: once("batched"), trials)
-    return {
-        "windowed_seconds": round(windowed_s, 4),
-        "batched_seconds": round(batched_s, 4),
-        "batched_speedup": round(windowed_s / batched_s, 3),
-        "bit_identical": True,
-    }
+    return {"bit_identical": True}
 
 
 def _time_collection(n_workloads: int, workers: int) -> tuple[float, object]:
@@ -338,13 +320,9 @@ def run_benchmark(workers: int, smoke: bool) -> dict:
     speedup = SEED_BASELINE_S / single
     print(f"  {single:.3f}s  ({speedup:.2f}x vs seed baseline {SEED_BASELINE_S}s)")
 
-    print("batched engine vs per-op windowed reference ...")
-    engine_stats = _compare_engines(smoke)
-    print(
-        f"  windowed {engine_stats['windowed_seconds']}s vs batched "
-        f"{engine_stats['batched_seconds']}s "
-        f"({engine_stats['batched_speedup']}x), bit-identical: OK"
-    )
+    print("simulation engine vs per-op oracle ...")
+    engine_stats = _compare_engines()
+    print("  bit-identical: OK")
 
     print(f"suite collection, {n_workloads} workloads, workers=1 ...")
     serial_s, serial_matrix = _time_collection(n_workloads, workers=1)
@@ -439,7 +417,6 @@ def _ledger_headline(results: dict) -> dict:
     return {
         "single_thread_speedup": results["single_thread"]["speedup_vs_seed"],
         "single_thread_seconds": results["single_thread"]["bench_seconds"],
-        "engine_batched_speedup": results["engine"]["batched_speedup"],
         "parallel_speedup": results["collection"]["parallel_speedup"],
         "tracing_overhead_pct": results["tracing"]["overhead_pct"],
         "tracing_noop_span_ns": results["tracing"]["noop_span_ns"],
@@ -463,13 +440,7 @@ def check_results(results: dict) -> list[str]:
             f"{SINGLE_THREAD_SPEEDUP_FLOOR}x floor"
         )
     if not results["engine"]["bit_identical"]:
-        failures.append("batched engine is not bit-identical to windowed")
-    engine_speedup = results["engine"]["batched_speedup"]
-    if engine_speedup < ENGINE_SPEEDUP_FLOOR:
-        failures.append(
-            f"batched engine speedup {engine_speedup}x over windowed is "
-            f"below the {ENGINE_SPEEDUP_FLOOR}x floor"
-        )
+        failures.append("simulation engine is not bit-identical to the oracle")
     if not results["collection"]["bit_identical"]:
         failures.append("parallel collection is not bit-identical to serial")
     if results["environment"]["parallel_meaningful"]:
@@ -494,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="enforce regression floors (single-thread speedup, batched "
+        help="enforce regression floors (single-thread speedup, engine "
         "bit-identity, parallel scaling on multi-core hosts); exit 1 on "
         "violation",
     )
