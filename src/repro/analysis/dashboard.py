@@ -41,6 +41,14 @@ from repro.core.dataset import WorkloadMetricMatrix
 from repro.core.kiviat import KiviatDiagram
 from repro.core.subsetting import SubsettingResult
 from repro.metrics.catalog import METRIC_NAMES
+from repro.obs.prof import (
+    UNATTRIBUTED_BUSY,
+    UNATTRIBUTED_IDLE,
+    _iter_stacks,
+    _stack_root,
+    attribution,
+    span_totals,
+)
 
 __all__ = ["render_dashboard", "render_profile_page"]
 
@@ -566,20 +574,6 @@ _FLAME_MIN_PX = 1.0
 #: Approximate monospace advance at font-size 10 — labels are cut to fit.
 _FLAME_CHAR_PX = 6.2
 
-#: Roots the profiler uses for samples with no live span path (kept in
-#: sync with :mod:`repro.obs.prof`; restated here so rendering a saved
-#: profile document needs nothing but the document).
-_FLAME_IDLE = "(idle)"
-_FLAME_UNTRACKED = "(untracked)"
-
-
-def _profile_stacks(doc: dict):
-    """``(spans, frames, count, idle)`` per entry of a profile document."""
-    for entry in doc.get("stacks", ()):
-        spans, frames, count, idle = entry
-        yield tuple(spans), tuple(frames), int(count), bool(idle)
-
-
 def _flame_tree(doc: dict) -> tuple[dict, int]:
     """Aggregate stacks into a nested ``{segment: [count, children]}``.
 
@@ -589,11 +583,8 @@ def _flame_tree(doc: dict) -> tuple[dict, int]:
     """
     tree: dict = {}
     total = 0
-    for spans, frames, count, idle in _profile_stacks(doc):
-        if spans:
-            path = spans + frames
-        else:
-            path = ((_FLAME_IDLE if idle else _FLAME_UNTRACKED),) + frames
+    for spans, frames, count, idle in _iter_stacks(doc):
+        path = _stack_root(spans, idle) + frames
         total += count
         node = tree
         for segment in path:
@@ -604,9 +595,9 @@ def _flame_tree(doc: dict) -> tuple[dict, int]:
 
 
 def _flame_category(root_segment: str) -> str:
-    if root_segment == _FLAME_IDLE:
+    if root_segment == UNATTRIBUTED_IDLE:
         return "idle"
-    if root_segment == _FLAME_UNTRACKED:
+    if root_segment == UNATTRIBUTED_BUSY:
         return "untracked"
     return "span"
 
@@ -669,44 +660,19 @@ def _flamegraph_svg(doc: dict) -> str:
     )
 
 
-def _profile_attribution(doc: dict) -> dict:
-    attributed = idle = untracked = 0
-    for spans, _frames, count, is_idle in _profile_stacks(doc):
-        if spans:
-            attributed += count
-        elif is_idle:
-            idle += count
-        else:
-            untracked += count
-    busy = attributed + untracked
-    return {
-        "attributed": attributed,
-        "idle": idle,
-        "untracked": untracked,
-        "fraction": (attributed / busy) if busy else 0.0,
-    }
-
-
 def _profile_tables(doc: dict, top: int = 20) -> str:
     """The flamegraph's accessible twin: span paths and hot frames."""
     samples = max(1, int(doc.get("samples", 0)))
-    span_counts: dict[str, int] = {}
     frame_counts: dict[str, int] = {}
-    for spans, frames, count, idle in _profile_stacks(doc):
-        if spans:
-            root = ";".join(spans)
-        else:
-            root = _FLAME_IDLE if idle else _FLAME_UNTRACKED
-        span_counts[root] = span_counts.get(root, 0) + count
+    for spans, frames, count, idle in _iter_stacks(doc):
         if frames and not (idle and not spans):
             leaf = frames[-1]
             frame_counts[leaf] = frame_counts.get(leaf, 0) + count
     span_rows = "".join(
-        f'<tr><td class="name">{_esc(path)}</td><td>{count}</td>'
-        f"<td>{count / samples:.1%}</td></tr>"
-        for path, count in sorted(
-            span_counts.items(), key=lambda kv: (-kv[1], kv[0])
-        )[:top]
+        f'<tr><td class="name">{_esc(row["path"])}</td>'
+        f'<td>{row["samples"]}</td>'
+        f"<td>{row['samples'] / samples:.1%}</td></tr>"
+        for row in span_totals(doc, top=top)
     )
     frame_rows = "".join(
         f'<tr><td class="name">{_esc(label)}</td><td>{count}</td>'
@@ -736,7 +702,7 @@ def _profile_section(doc: dict | None) -> str:
             "<code>GET /profile?format=flame</code>) while the fleet is "
             "working.</p>"
         )
-    stats = _profile_attribution(doc)
+    stats = attribution(doc)
     processes = doc.get("processes") or []
     roles: dict[str, int] = {}
     for process in processes:

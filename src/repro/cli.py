@@ -328,12 +328,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _merge_traces(args: argparse.Namespace) -> int:
     """``repro trace --merge STORE_DIR``: stitch the fleet's spills."""
-    from repro.obs.fleet import load_trace_spills, merge_traces, traces_dir
+    from repro.obs.fleet import merge_traces, read_live, telemetry_dir
 
-    documents = load_trace_spills(args.merge)
+    documents = read_live(args.merge, "traces")
     if not documents:
         print(
-            f"repro: no trace spills under {traces_dir(args.merge)} "
+            f"repro: no trace spills under {telemetry_dir(args.merge, 'traces')} "
             "(run the service with tracing on, or drive some jobs first)",
             file=sys.stderr,
         )
@@ -354,9 +354,9 @@ def _merge_traces(args: argparse.Namespace) -> int:
 def _cmd_status(args: argparse.Namespace) -> int:
     """``repro status``: the fleet's live workers and merged totals."""
     if args.store is not None:
-        from repro.obs.fleet import fleet_status, read_live_shards
+        from repro.obs.fleet import fleet_status, read_live
 
-        status = fleet_status(read_live_shards(args.store))
+        status = fleet_status(read_live(args.store, "metrics"))
     else:
         from repro.errors import ServiceError
         from repro.service.client import ServiceClient
@@ -419,7 +419,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs.prof import attribution, collapsed_stacks, span_totals
 
     if args.store is not None:
-        from repro.obs.prof import collect_fleet_profile, request_profile
+        from repro.obs.fleet import collect_fleet_profile, request_profile
 
         request = request_profile(
             args.store,

@@ -245,9 +245,8 @@ def _worker_main(tasks, results, init: dict) -> None:
     # and the service layer sits above this module.
     from repro.cluster.collection import _characterize_with_retries
     from repro.cluster.testbed import Cluster
-    from repro.obs.fleet import ShardWriter
+    from repro.obs.fleet import TelemetryAgent
     from repro.obs.metrics import REGISTRY
-    from repro.obs.prof import ProfileAgent, arm as arm_profiling
     from repro.obs.trace import Tracer
     from repro.service.store import ResultStore, characterization_to_payload
     from repro.workloads.base import RunContext
@@ -255,18 +254,15 @@ def _worker_main(tasks, results, init: dict) -> None:
 
     REGISTRY.reset_values()
     tracer = Tracer(max_events=_WORKER_TRACE_CAPACITY)
-    shards = ShardWriter(
+    # This loop *is* the worker process's main thread, so the agent can
+    # arm the sampling signals here: fleet profile windows then catch
+    # the characterization frames (attributed to the
+    # pool:characterize:<name> span) mid-task.
+    telemetry = TelemetryAgent(
         init["store_root"],
         instance=f"pool-{os.getpid():x}",
         role="pool",
         tracer=tracer,
-    ).start()
-    # This loop *is* the worker process's main thread: arm the sampling
-    # signals here so fleet profile windows catch the characterization
-    # frames (attributed to the pool:characterize:<name> span) mid-task.
-    arm_profiling()
-    profile_agent = ProfileAgent(
-        init["store_root"], instance=f"pool-{os.getpid():x}", role="pool"
     ).start()
     tasks_done = REGISTRY.counter(
         "repro_pool_tasks_total",
@@ -279,8 +275,7 @@ def _worker_main(tasks, results, init: dict) -> None:
     while True:
         task = tasks.get()
         if task is None:
-            profile_agent.close()
-            shards.close()
+            telemetry.close()
             return
         generation, index, name, store_key, meta = task
         if os.environ.get(CRASH_ENV) == name:
@@ -327,12 +322,11 @@ def _worker_main(tasks, results, init: dict) -> None:
                 )
             )
             if not isinstance(error, Exception):
-                profile_agent.close()
-                shards.close()
+                telemetry.close()
                 raise  # KeyboardInterrupt/SystemExit: report, then die
         # Publish the finished task's span and counters promptly — a
         # merge right after a job completes must see this worker's lane.
-        shards.write_now()
+        telemetry.write_now()
 
 
 # -- parent side ---------------------------------------------------------------

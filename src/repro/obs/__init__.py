@@ -6,7 +6,7 @@ schedules work, or mutates engine state — so enabling any of it cannot
 perturb the 45-metric matrix: a traced run is bit-identical to an
 untraced one.
 
-Four pillars, one module each:
+Inside one process, four modules record what happened:
 
 - :mod:`repro.obs.trace` — structured spans on a monotonic clock,
   exported as Chrome-trace JSON (``chrome://tracing`` / Perfetto).
@@ -24,21 +24,24 @@ Four pillars, one module each:
   v4) and job snapshots so "why was this run slow" is answerable from
   the persisted artifact alone.
 
-:mod:`repro.obs.stats` carries the timing/percentile helpers the
-benchmark harnesses share.  :mod:`repro.obs.fleet` extends the plane
-across *processes*: per-pid metric shards and trace spills in the
-shared store directory, merged at scrape time into one fleet-wide
-``/metrics`` exposition, ``/fleet`` status view and multi-lane Chrome
-trace.  :mod:`repro.obs.prof` is the continuous-profiling plane built
-on both: a statistical stack sampler whose samples are attributed to
-the live span path, spilled per process and merged into one fleet
-profile (``GET /profile``, ``repro profile``).  :mod:`repro.obs.ledger`
-keeps the perf-regression ledger the bench tools append to.
+:mod:`repro.obs.timeline` samples a workload's runtime and PMU state
+over time.  :mod:`repro.obs.stats` carries the timing/percentile helpers
+the benchmark harnesses share.  :mod:`repro.obs.prof` is a statistical
+stack sampler whose samples are attributed to the live span path, plus
+the profile-document functions (merge, collapsed stacks, attribution).
+:mod:`repro.obs.fleet` extends the plane across *processes*: one
+:class:`~repro.obs.fleet.TelemetryAgent` per process writes its metric
+shard, trace spill and profile spills into the shared store directory,
+and the same module reads them back, collects the stale ones and
+merges them into one fleet-wide ``/metrics`` exposition, ``/fleet``
+status view, multi-lane Chrome trace and fleet profile
+(``GET /profile``, ``repro profile``).  :mod:`repro.obs.ledger` keeps
+the perf-regression ledger the bench tools append to.
 """
 
-from repro.obs.fleet import ShardWriter, fleet_status, merge_traces, read_live_shards
+from repro.obs.fleet import TelemetryAgent, fleet_status, merge_traces, read_live
 from repro.obs.flight import FlightRecorder, current_flight, flight_recording, record
-from repro.obs.prof import ProfileAgent, Profiler, arm as arm_profiling
+from repro.obs.prof import Profiler
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.metrics import (
     REGISTRY,
@@ -50,13 +53,11 @@ from repro.obs.metrics import (
 from repro.obs.trace import Tracer, current_tracer, span, tracing
 
 __all__ = [
-    "ShardWriter",
+    "TelemetryAgent",
     "Profiler",
-    "ProfileAgent",
-    "arm_profiling",
     "fleet_status",
     "merge_traces",
-    "read_live_shards",
+    "read_live",
     "Tracer",
     "current_tracer",
     "span",

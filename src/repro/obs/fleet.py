@@ -1,50 +1,44 @@
-"""Fleet-wide telemetry: cross-process metric shards and trace merging.
+"""Fleet-wide telemetry: one agent per process, and every per-pid file.
 
-PR 8 made ``repro serve`` a pre-fork fleet — one supervisor, N server
-workers, plus fork-once collection pool workers — with shared-nothing
-memory.  Each process still has exactly one in-memory
-:data:`~repro.obs.metrics.REGISTRY` and (optionally) one
-:class:`~repro.obs.trace.Tracer`, so ``GET /metrics`` used to report
-only the worker that answered and pool/supervisor telemetry was
-unreachable.  This module is the spine that makes the observability
-plane fleet-wide, using the same coordination substrate everything else
-uses: plain files in the shared store directory.
+A pre-fork fleet (supervisor, N server workers, the collection pool
+workers behind them) shares no memory: each process has its own
+:data:`~repro.obs.metrics.REGISTRY`, tracer and sampling
+:class:`~repro.obs.prof.Profiler`.  This module joins them through plain
+files in the shared store directory, and owns that layout and every
+file's lifecycle::
 
-Layout (under the store root)::
+    telemetry/metrics/<instance>-<pid>.json    one metric shard per process
+    telemetry/traces/<instance>-<pid>.json     one Chrome-trace spill per process
+    telemetry/profiles/<instance>-<pid>.json   one profile spill per process
+    telemetry/profiles/request.json            the fleet's open sampling window
+    telemetry/telemetry.lock                   FileLock guarding requests and GC
 
-    telemetry/metrics/<instance>-<pid>.json   one metric shard per process
-    telemetry/traces/<instance>-<pid>.json    one Chrome-trace spill per process
-    telemetry/telemetry.lock                  FileLock guarding shard GC
+**One agent per process.**  A :class:`TelemetryAgent`'s daemon thread
+rewrites the process's metric shard (a registry snapshot plus a
+heartbeat) and trace spill every :data:`INTERVAL_S`, and checks the
+profile request file every :data:`POLL_S`.  A new request opens a
+sampling window that the loop closes and spills at the deadline without
+ever blocking on it, so the heartbeat ``/readyz`` checks keeps
+advancing.  ``close()`` spills an open window's partial capture, then
+writes the final shard.
 
-**Metric shards** — every process runs a :class:`ShardWriter`: a daemon
-timer thread that atomically rewrites the process's shard (full
-:meth:`~repro.obs.metrics.MetricsRegistry.to_shard` snapshot plus a
-heartbeat) every ``interval_s`` and once more at exit.  Scrape-time
-aggregation (:func:`read_live_shards` + :func:`merge_shards`) merges the
-live shards into one fleet view: counters and histogram buckets are
-summed; gauges follow their per-metric ``aggregation`` declaration —
-``"sum"`` for disjoint per-process values (live jobs), ``"per_worker"``
-(one sample per process under a ``worker=<instance>`` label) for gauges
-describing a shared resource, so the merged exposition never silently
-double-counts.  A shard whose pid is dead on this host, or whose
-heartbeat is older than its TTL, is excluded and garbage-collected
-under the telemetry FileLock (:func:`repro.durable.gc_once`, so
-concurrent scrapers remove it exactly once); a torn/partial shard is
-treated as absent.
+**One reader.**  :func:`read_live` loads the files of one kind, excludes
+the stale ones and collects them exactly once under the telemetry lock
+(:func:`repro.durable.gc_once`); a torn file reads as absent.  A shard
+is stale once its pid is dead on this host or its heartbeat outlives
+its TTL; trace and profile spills outlive their writer, so only the TTL
+retires them.
 
-**Trace merge** — :func:`merge_traces` stitches per-process Chrome trace
-documents into one file: each document's timestamps (relative to its
-process's ``perf_counter`` epoch) are rebased onto a common timeline via
-the tracer's ``epoch_unix_s`` wall-clock anchor, and ``process_name`` /
-``thread_name`` metadata ("M") events label each pid lane so Perfetto
-shows supervisor, server workers and pool workers side by side.
-Correlation IDs carried in span args join client -> server -> job ->
-pool-worker spans end-to-end.
+**Merging.**  :func:`merge_shards` sums counters and histogram buckets;
+gauges declare ``"sum"`` (disjoint per-process values) or
+``"per_worker"`` (one sample per process under a ``worker`` label), so
+the fleet exposition never double-counts.  :func:`merge_traces` rebases
+each process's trace onto one timeline via its ``epoch_unix_s`` anchor
+and labels each pid lane.  :func:`collect_fleet_profile` merges the
+spills of one sampling window.
 
-Everything here is purely observational: shards are written off the
-request path by a timer thread, nothing consumes randomness or changes
-scheduling, and a sharded+traced run's 45-metric matrix stays
-bit-identical.
+Everything here is observational: nothing consumes randomness or
+changes scheduling, so a run's 45-metric matrix stays bit-identical.
 """
 
 from __future__ import annotations
@@ -54,6 +48,7 @@ import os
 import socket
 import threading
 import time
+import uuid
 from pathlib import Path
 
 from repro.durable import gc_once, is_stale, read_json, state_files, write_json
@@ -65,23 +60,38 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
+from repro.obs.prof import (
+    DEFAULT_INTERVAL_MS,
+    PROFILE_SCHEMA,
+    Profiler,
+    ProfilerError,
+    arm,
+    merge_profile_docs,
+)
 from repro.obs.trace import Tracer
 
 __all__ = [
     "SHARD_SCHEMA",
-    "ShardWriter",
+    "INTERVAL_S",
+    "POLL_S",
+    "TTL_S",
+    "TelemetryAgent",
     "Shard",
-    "metrics_dir",
-    "traces_dir",
+    "telemetry_dir",
     "load_shard",
-    "read_live_shards",
-    "gc_stale_shards",
+    "load_profile_doc",
+    "read_live",
+    "gc_stale",
     "merge_shards",
     "render_merged",
     "fleet_status",
-    "load_trace_spills",
     "merge_traces",
     "merge_store_traces",
+    "profile_request_path",
+    "current_request",
+    "request_profile",
+    "spill_profile",
+    "collect_fleet_profile",
 ]
 
 _log = get_logger("repro.obs.fleet")
@@ -89,22 +99,29 @@ _log = get_logger("repro.obs.fleet")
 #: Version stamp of the shard file format; readers skip other schemas.
 SHARD_SCHEMA = 1
 
-#: Default seconds between periodic shard snapshots.
-DEFAULT_INTERVAL_S = 2.0
+#: Seconds between an agent's shard heartbeats.
+INTERVAL_S = 2.0
 
-#: Default shard TTL: a shard whose heartbeat is older than this is
-#: presumed dead even when its pid cannot be probed (other host).
-DEFAULT_TTL_S = 120.0
+#: Seconds between an agent's checks of the profile request file.
+POLL_S = 0.25
+
+#: Default TTL of every per-pid file: one whose ``written_s`` stamp is
+#: older is stale (a record's own ``ttl_s`` takes precedence).
+TTL_S = 120.0
+
+#: Default / maximum fleet sampling window (seconds).
+DEFAULT_WINDOW_S = 3.0
+MAX_WINDOW_S = 30.0
 
 
-def metrics_dir(root: str | Path) -> Path:
-    """The metric-shard directory under a store root."""
-    return Path(root) / "telemetry" / "metrics"
+def telemetry_dir(root: str | Path, kind: str) -> Path:
+    """The directory of one kind (``metrics``, ``traces`` or
+    ``profiles``) under a store root."""
+    return Path(root) / "telemetry" / kind
 
 
-def traces_dir(root: str | Path) -> Path:
-    """The trace-spill directory under a store root."""
-    return Path(root) / "telemetry" / "traces"
+def profile_request_path(root: str | Path) -> Path:
+    return telemetry_dir(root, "profiles") / "request.json"
 
 
 def _telemetry_lock(root: str | Path):
@@ -113,17 +130,16 @@ def _telemetry_lock(root: str | Path):
     return FileLock(Path(root) / "telemetry" / "telemetry.lock")
 
 
-def _safe_instance(instance: str) -> str:
-    return "".join(
-        ch if ch.isalnum() or ch in "-_." else "-" for ch in instance
-    )
+def _file_name(instance: str, pid: object) -> str:
+    safe = "".join(ch if ch.isalnum() or ch in "-_." else "-" for ch in instance)
+    return f"{safe}-{pid}.json"
 
 
-# -- writing ------------------------------------------------------------------
+# -- the per-process agent ----------------------------------------------------
 
 
-class ShardWriter:
-    """Periodic, atomic snapshots of one process's registry (and tracer).
+class TelemetryAgent:
+    """One process's telemetry loop: shard, trace spill, profile windows.
 
     Args:
         root: The shared store directory the fleet coordinates through.
@@ -137,9 +153,6 @@ class ShardWriter:
         tracer: When set, the tracer's span buffer is spilled to a
             per-pid Chrome trace file alongside each metric snapshot so
             :func:`merge_traces` can stitch the fleet's lanes together.
-        interval_s: Seconds between periodic snapshots.
-        ttl_s: Heartbeat TTL stamped into the shard; readers drop the
-            shard once the heartbeat is older than this.
     """
 
     def __init__(
@@ -149,45 +162,65 @@ class ShardWriter:
         role: str,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        interval_s: float = DEFAULT_INTERVAL_S,
-        ttl_s: float | None = None,
     ) -> None:
         self.root = Path(root)
         self.instance = instance
         self.role = role
         self.registry = REGISTRY if registry is None else registry
         self.tracer = tracer
-        self.interval_s = max(0.05, float(interval_s))
-        self.ttl_s = (
-            float(ttl_s)
-            if ttl_s is not None
-            else max(DEFAULT_TTL_S, 10.0 * self.interval_s)
-        )
         self._pid = os.getpid()
         self._host = socket.gethostname()
         self._started_s = time.time()
-        stem = f"{_safe_instance(instance)}-{self._pid}.json"
-        self.path = metrics_dir(self.root) / stem
-        self.trace_path = traces_dir(self.root) / stem
+        name = _file_name(instance, self._pid)
+        self.path = telemetry_dir(self.root, "metrics") / name
+        self.trace_path = telemetry_dir(self.root, "traces") / name
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self._write_lock = threading.Lock()
+        # Serialises file writes and the hand-off of the open window.
+        self._lock = threading.Lock()
+        self._request_sig: tuple | None = None
+        # The open sampling window: (profiler, request id, deadline).
+        self._window: tuple[Profiler, str, float] | None = None
 
     # -- lifecycle --------------------------------------------------------
 
-    def start(self) -> "ShardWriter":
-        """Write the first snapshot and start the timer thread."""
+    def start(self) -> "TelemetryAgent":
+        """Arm profiling, write the first shard and start the loop.
+
+        Call it from the process's main thread: :func:`repro.obs.prof.arm`
+        can only install the sampling signal handlers there (elsewhere
+        the profiler falls back to its thread clock).
+        """
+        arm()
         self.write_now()
         self._thread = threading.Thread(
-            target=self._run, name=f"shard-writer-{self.instance}", daemon=True
+            target=self._run, name=f"telemetry-{self.instance}", daemon=True
         )
         self._thread.start()
         atexit.register(self._at_exit)
         return self
 
     def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            self.write_now()
+        next_write = time.time() + INTERVAL_S
+        while True:
+            window = self._window
+            wake = min(time.time() + POLL_S, next_write)
+            if window is not None:
+                wake = min(wake, window[2])
+            if self._stop.wait(max(0.0, wake - time.time())):
+                return
+            now = time.time()
+            try:
+                if window is None:
+                    self._open_window()
+                elif now >= window[2]:
+                    self._close_window()
+            except Exception:  # noqa: BLE001 - keep the heartbeat going
+                _log.exception("profile window failed; dropped")
+                self._window = None
+            if now >= next_write:
+                self.write_now()
+                next_write = now + INTERVAL_S
 
     def _at_exit(self) -> None:
         # Forked children inherit the registration; only the creating
@@ -196,7 +229,8 @@ class ShardWriter:
             self.close()
 
     def close(self) -> None:
-        """Stop the timer and write one final snapshot.
+        """Stop the loop, spill an open window's partial capture (with
+        its request id), then write one final snapshot.
 
         The shard is deliberately *not* deleted: a cleanly exited
         worker's counters stay scrapeable until dead-pid/TTL staleness
@@ -205,7 +239,8 @@ class ShardWriter:
         self._stop.set()
         thread = self._thread
         if thread is not None and thread is not threading.current_thread():
-            thread.join(timeout=2.0 * self.interval_s)
+            thread.join(timeout=2.0 * INTERVAL_S)
+        self._close_window()
         self.write_now()
 
     # -- snapshots --------------------------------------------------------
@@ -226,34 +261,75 @@ class ShardWriter:
             "host": self._host,
             "started_s": round(self._started_s, 3),
             "written_s": round(time.time(), 3),
-            "ttl_s": self.ttl_s,
-            "interval_s": self.interval_s,
+            "ttl_s": TTL_S,
+            "interval_s": INTERVAL_S,
             "metrics": self.registry.to_shard(),
         }
-        with self._write_lock:
+        with self._lock:
             try:
                 write_json(self.path, shard)
             except OSError:
                 return False
-            if self.tracer is not None:
-                return self._spill_trace_locked()
-        return True
+        return self.tracer is None or self.spill_trace()
 
     def spill_trace(self) -> bool:
         """Spill the tracer's buffer to the per-pid trace file now."""
         if self.tracer is None:
             return False
-        with self._write_lock:
-            return self._spill_trace_locked()
-
-    def _spill_trace_locked(self) -> bool:
         document = self.tracer.to_chrome(instance=self.instance)
-        document["otherData"]["role"] = self.role
-        try:
-            write_json(self.trace_path, document)
-        except OSError:
-            return False
+        document["otherData"].update(
+            role=self.role, written_s=round(time.time(), 3), ttl_s=TTL_S
+        )
+        with self._lock:
+            try:
+                write_json(self.trace_path, document)
+            except OSError:
+                return False
         return True
+
+    # -- profile windows --------------------------------------------------
+
+    def _open_window(self) -> None:
+        """Start sampling for a new request; a cheap ``stat`` signature
+        check skips re-parsing an unchanged request file."""
+        try:
+            stat = profile_request_path(self.root).stat()
+        except OSError:
+            return
+        signature = (stat.st_mtime_ns, stat.st_size)
+        if signature == self._request_sig:
+            return
+        self._request_sig = signature
+        request = current_request(self.root)
+        if request is None:
+            return
+        deadline = float(request["deadline_s"])
+        if deadline - time.time() <= 0.05:
+            return
+        try:
+            profiler = Profiler(
+                mode=str(request.get("mode", "wall")),
+                interval_ms=request.get("interval_ms", DEFAULT_INTERVAL_MS),
+                instance=self.instance,
+                role=self.role,
+            ).start()
+        except (ProfilerError, TypeError, ValueError):
+            return  # a manual profiler owns this process right now
+        self._window = (profiler, str(request.get("id")), deadline)
+
+    def _close_window(self) -> None:
+        with self._lock:
+            window, self._window = self._window, None
+        if window is None:
+            return
+        profiler, request_id, _deadline = window
+        doc = profiler.stop()
+        doc["request_id"] = request_id
+        spill_profile(self.root, doc)
+        REGISTRY.counter(
+            "repro_profile_samples_total",
+            "Stack samples this process contributed to fleet profiles",
+        ).inc(int(doc.get("samples", 0)))
 
 
 # -- reading ------------------------------------------------------------------
@@ -270,7 +346,6 @@ class Shard:
         "host",
         "started_s",
         "written_s",
-        "ttl_s",
         "metrics",
         "record",
     )
@@ -284,7 +359,6 @@ class Shard:
         self.host = str(record.get("host", ""))
         self.started_s = float(record.get("started_s", 0.0))
         self.written_s = float(record.get("written_s", 0.0))
-        self.ttl_s = float(record.get("ttl_s", DEFAULT_TTL_S))
         self.metrics = dict(record.get("metrics", {}))
 
     def counter_total(self, name: str) -> float:
@@ -306,57 +380,107 @@ def load_shard(path: Path) -> Shard | None:
         return None
 
 
+def _load_trace_spill(path: Path) -> dict | None:
+    doc = read_json(path)
+    if doc is None or not isinstance(doc.get("traceEvents"), list):
+        return None
+    return doc
+
+
+def load_profile_doc(path: Path) -> dict | None:
+    """Parse one profile spill; torn/foreign/request files -> ``None``."""
+    record = read_json(path)
+    if (
+        record is None
+        or record.get("schema") != PROFILE_SCHEMA
+        or record.get("kind") != "cpu-profile"
+    ):
+        return None
+    return record
+
+
 def _shard_stale(path: Path, shard: Shard | None, now: float) -> bool:
-    """Dead pid on this host, or heartbeat older than the TTL; a torn or
-    foreign file only once older than the default TTL (a live writer may
-    be mid-rewrite next to it)."""
+    record = shard.record if shard is not None else None
+    return is_stale(record, now, stamp="written_s", ttl_s=TTL_S, path=path)
+
+
+def _spill_stale(path: Path, record: dict | None, now: float) -> bool:
+    # Spills outlive their writer, so only the TTL retires them.
     return is_stale(
-        shard.record if shard is not None else None,
-        now,
-        stamp="written_s",
-        ttl_s=DEFAULT_TTL_S,
-        path=path,
+        record, now, stamp="written_s", ttl_s=TTL_S, owner_pid=False, path=path
     )
 
 
-def read_live_shards(root: str | Path, gc: bool = True) -> list[Shard]:
-    """Every live shard under ``root``, stale ones excluded (and GC'd).
+def _trace_stale(path: Path, doc: dict | None, now: float) -> bool:
+    # The stamp lives in otherData; an unstamped spill ages by its mtime.
+    other = doc.get("otherData") if doc is not None else None
+    stamped = isinstance(other, dict) and "written_s" in other
+    return _spill_stale(path, other if stamped else None, now)
 
-    Ordered by (role, instance) so merged output is stable regardless of
-    directory enumeration order.
+
+def _profile_stale(path: Path, doc: dict | None, now: float) -> bool:
+    # The request file closes at its deadline and is rewritten in place.
+    return path.name != "request.json" and _spill_stale(path, doc, now)
+
+
+#: Per kind: (loader, staleness rule, sort key of the live items).
+_KINDS = {
+    "metrics": (
+        load_shard, _shard_stale, lambda s: (s.role, s.instance, s.pid)
+    ),
+    "traces": (_load_trace_spill, _trace_stale, None),
+    "profiles": (
+        load_profile_doc,
+        _profile_stale,
+        lambda d: (str(d.get("role")), str(d.get("instance"))),
+    ),
+}
+
+
+def read_live(root: str | Path, kind: str, gc: bool = True) -> list:
+    """Every live file of ``kind`` under ``root``, parsed by the kind's
+    loader (:class:`Shard` for ``metrics``, the document otherwise).
+
+    Stale files are excluded and, with ``gc``, collected.  Shards and
+    profile spills come back ordered by (role, instance), so merged
+    output is stable regardless of directory enumeration order.
     """
+    load, stale, order = _KINDS[kind]
     now = time.time()
-    live: list[Shard] = []
+    live: list = []
     dead: list[Path] = []
-    for path in state_files(metrics_dir(root)):
-        shard = load_shard(path)
-        if _shard_stale(path, shard, now):
+    for path in state_files(telemetry_dir(root, kind)):
+        item = load(path)
+        if stale(path, item, now):
             dead.append(path)
-        elif shard is not None:
-            live.append(shard)
+        elif item is not None:
+            live.append(item)
     if gc and dead:
-        gc_stale_shards(root, candidates=dead)
-    live.sort(key=lambda s: (s.role, s.instance, s.pid))
+        gc_stale(root, kind, candidates=dead)
+    if order is not None:
+        live.sort(key=order)
     return live
 
 
-def gc_stale_shards(
-    root: str | Path, candidates: list[Path] | None = None
+def gc_stale(
+    root: str | Path, kind: str, candidates: list[Path] | None = None
 ) -> list[Path]:
-    """Remove stale/torn shards under the telemetry lock, exactly once
-    (:func:`~repro.durable.gc_once`); returns the paths removed."""
+    """Remove stale/torn files of ``kind`` under the telemetry lock,
+    exactly once (:func:`~repro.durable.gc_once`); returns the paths
+    removed."""
+    load, stale, _order = _KINDS[kind]
     if candidates is None:
-        candidates = state_files(metrics_dir(root))
+        candidates = state_files(telemetry_dir(root, kind))
     now = time.time()
     removed = gc_once(
         _telemetry_lock(root),
         candidates,
-        lambda path: _shard_stale(path, load_shard(path), now),
+        lambda path: stale(path, load(path), now),
     )
     if removed:
         _log.info(
-            "collected stale metric shards",
-            extra={"count": len(removed)},
+            "collected stale telemetry",
+            extra={"kind": kind, "count": len(removed)},
         )
     return removed
 
@@ -527,12 +651,6 @@ def fleet_status(shards: list[Shard], now: float | None = None) -> dict:
 # -- trace merging ------------------------------------------------------------
 
 
-def load_trace_spills(root: str | Path) -> list[dict]:
-    """Every parseable trace spill under ``root`` (torn files skipped)."""
-    docs = [read_json(path) for path in state_files(traces_dir(root))]
-    return [d for d in docs if d and isinstance(d.get("traceEvents"), list)]
-
-
 def merge_traces(documents: list[dict]) -> dict:
     """Stitch per-process Chrome trace documents into one fleet trace.
 
@@ -616,8 +734,118 @@ def merge_traces(documents: list[dict]) -> dict:
 def merge_store_traces(
     root: str | Path, extra: list[dict] | None = None
 ) -> dict:
-    """Merge every trace spill under ``root`` (plus ``extra`` documents)."""
-    documents = load_trace_spills(root)
+    """Merge every live trace spill under ``root`` (plus ``extra``
+    documents)."""
+    documents = read_live(root, "traces")
     if extra:
         documents = documents + list(extra)
     return merge_traces(documents)
+
+
+# -- fleet profile windows ----------------------------------------------------
+
+
+def current_request(root: str | Path, now: float | None = None) -> dict | None:
+    """The in-flight profile request, or ``None`` when the window closed."""
+    record = read_json(profile_request_path(root))
+    if record is None or record.get("kind") != "profile-request":
+        return None
+    try:
+        deadline = float(record.get("deadline_s", 0.0))
+    except (TypeError, ValueError):
+        return None  # a foreign or damaged request: no window
+    if deadline <= (time.time() if now is None else now):
+        return None
+    return record
+
+
+def request_profile(
+    root: str | Path,
+    seconds: float = DEFAULT_WINDOW_S,
+    interval_ms: float = DEFAULT_INTERVAL_MS,
+    mode: str = "wall",
+) -> dict:
+    """Publish (or join) a fleet-wide sampling window through the store.
+
+    Taken under the telemetry lock: if another worker already opened a
+    window that is still mostly ahead of us, its request is returned
+    unchanged so concurrent ``/profile`` calls share one window instead
+    of fighting over the per-process profiler.
+    """
+    seconds = min(MAX_WINDOW_S, max(0.2, float(seconds)))
+    interval_ms = min(100.0, max(1.0, float(interval_ms)))
+    now = time.time()
+    with _telemetry_lock(root):
+        existing = current_request(root, now=now)
+        if existing is not None and (
+            float(existing["deadline_s"]) - now >= 0.5 * seconds
+        ):
+            return existing
+        request = {
+            "schema": PROFILE_SCHEMA,
+            "kind": "profile-request",
+            "id": uuid.uuid4().hex[:12],
+            "mode": mode if mode in ("wall", "cpu") else "wall",
+            "seconds": seconds,
+            "interval_ms": interval_ms,
+            "issued_s": round(now, 3),
+            "deadline_s": round(now + seconds, 3),
+        }
+        write_json(profile_request_path(root), request)
+    return request
+
+
+def spill_profile(root: str | Path, doc: dict) -> Path | None:
+    """Atomically write one process's profile document under the store,
+    stamped with ``written_s`` and the fleet's ``ttl_s``."""
+    name = _file_name(str(doc.get("instance", "proc")), doc.get("pid", 0))
+    path = telemetry_dir(root, "profiles") / name
+    try:
+        write_json(
+            path, {**doc, "written_s": round(time.time(), 3), "ttl_s": TTL_S}
+        )
+    except OSError:
+        return None
+    REGISTRY.counter(
+        "repro_profile_windows_total",
+        "Profile sampling windows this process has served",
+    ).inc()
+    return path
+
+
+def collect_fleet_profile(
+    root: str | Path,
+    request: dict,
+    grace_s: float = 2.0,
+    poll_s: float = 0.1,
+    expected: int | None = None,
+) -> dict:
+    """Wait out a request's window and merge every matching spill.
+
+    ``expected`` defaults to the number of live metric shards — the
+    processes whose agents should answer.  Collection returns as soon as
+    that many spills carry the request id, or once ``grace_s`` past the
+    window deadline has elapsed with whatever arrived.
+    """
+    if expected is None:
+        expected = max(1, len(read_live(root, "metrics", gc=False)))
+    deadline = float(request.get("deadline_s", time.time()))
+    request_id = request.get("id")
+    while True:
+        remaining = deadline + 0.2 - time.time()
+        if remaining <= 0:
+            break
+        time.sleep(min(poll_s, remaining))
+    stop_at = deadline + 0.2 + max(0.0, grace_s)
+    while True:
+        docs = [
+            doc
+            for doc in read_live(root, "profiles", gc=False)
+            if doc.get("request_id") == request_id
+        ]
+        if len(docs) >= expected or time.time() >= stop_at:
+            break
+        time.sleep(poll_s)
+    merged = merge_profile_docs(docs, request=request)
+    merged["ttl_s"] = TTL_S
+    return merged

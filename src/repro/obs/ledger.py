@@ -32,6 +32,7 @@ import time
 from pathlib import Path
 
 from repro.durable import append_line, read_lines
+from repro.obs.prof import UNATTRIBUTED_BUSY, _iter_stacks, attribution
 
 __all__ = [
     "LEDGER_SCHEMA",
@@ -75,12 +76,6 @@ def environment_block() -> dict:
     }
 
 
-def _profile_stacks(doc: dict):
-    for entry in doc.get("stacks", ()):
-        spans, frames, count, idle = entry
-        yield tuple(spans), tuple(frames), int(count), bool(idle)
-
-
 def profile_digest(doc: dict, top: int = _DIGEST_TOP) -> dict:
     """Compress a profile document into a ledger-sized summary.
 
@@ -91,21 +86,16 @@ def profile_digest(doc: dict, top: int = _DIGEST_TOP) -> dict:
     """
     span_counts: dict[str, int] = {}
     frame_counts: dict[str, int] = {}
-    attributed = idle = untracked = 0
-    for spans, frames, count, is_idle in _profile_stacks(doc):
-        if spans:
-            attributed += count
-        elif is_idle:
-            idle += count
+    for spans, frames, count, is_idle in _iter_stacks(doc):
+        if is_idle and not spans:
             continue  # parked threads carry no perf signal
-        else:
-            untracked += count
-        root = ";".join(spans) if spans else "(untracked)"
+        root = ";".join(spans) if spans else UNATTRIBUTED_BUSY
         span_counts[root] = span_counts.get(root, 0) + count
         if frames:
             leaf = frames[-1]
             frame_counts[leaf] = frame_counts.get(leaf, 0) + count
-    busy = max(1, attributed + untracked)
+    stats = attribution(doc)
+    busy = max(1, stats["attributed"] + stats["untracked"])
 
     def ranked(counts: dict[str, int]) -> list[dict]:
         ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -116,12 +106,12 @@ def profile_digest(doc: dict, top: int = _DIGEST_TOP) -> dict:
 
     return {
         "samples": int(doc.get("samples", 0)),
-        "busy_samples": attributed + untracked,
+        "busy_samples": stats["attributed"] + stats["untracked"],
         "duration_s": float(doc.get("duration_s", 0.0)),
         "interval_ms": float(doc.get("interval_ms", 0.0)),
         "mode": doc.get("mode", "wall"),
         "clock": doc.get("clock"),
-        "span_fraction": round(attributed / busy, 4),
+        "span_fraction": stats["fraction"],
         "spans": ranked(span_counts),
         "frames": ranked(frame_counts),
     }

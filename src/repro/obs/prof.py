@@ -22,25 +22,23 @@ bit-identical to one without.
   called once at every process entry point — CLI main, supervisor,
   forked server worker, pool worker — after which ``setitimer`` itself
   may be called from *any* thread, making start/stop safe from HTTP
-  handler threads and the profile agent.
+  handler threads and the telemetry agent.
 - ``thread`` — a daemon thread samples on an ``Event.wait`` timer; the
   fallback when the process never armed (e.g. a server embedded in a
   test's background thread).  Wall mode only.
 
 Samples whose leaf frame sits in a known blocking stdlib module
-(``threading.py``, ``selectors.py``, ``queue.py``, ...) are classified
+(``threading.py``, ``selectors.py``, ``queue.py``, ...) or is a
+``ThreadPoolExecutor`` worker waiting on its work queue are classified
 *idle*: parked worker loops and accept/poll waits.  Attribution quality
 is judged on the busy remainder — see :func:`attribution`.
 
-**Fleet integration.**  Each process runs a :class:`ProfileAgent`
-(daemon thread) that watches ``<store>/telemetry/profiles/request.json``.
-Any worker answering ``GET /profile?seconds=N`` publishes a request
-window through :func:`request_profile` (concurrent requests join the
-in-flight window), every agent samples for the window and spills a
-per-pid profile document next to the request (same atomic-write +
-TTL-staleness + lock-guarded exactly-once GC lifecycle as the metric
-shards), and the serving worker merges the spills with
-:func:`collect_fleet_profile`.
+**Fleet integration** lives in :mod:`repro.obs.fleet`: each process's
+:class:`~repro.obs.fleet.TelemetryAgent` arms the process, opens a
+:class:`Profiler` for every fleet sampling window published in the
+store, and spills the window's document for the requesting worker to
+merge with :func:`merge_profile_docs`.  This module knows nothing about
+the store: it samples, and it builds, merges and summarises documents.
 """
 
 from __future__ import annotations
@@ -51,12 +49,7 @@ import socket
 import sys
 import threading
 import time
-import uuid
-from pathlib import Path
 
-from repro.durable import gc_once, is_stale, read_json, state_files, write_json
-from repro.obs.log import get_logger
-from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span_paths
 
 __all__ = [
@@ -65,16 +58,8 @@ __all__ = [
     "ProfilerError",
     "arm",
     "armed",
-    "ProfileAgent",
-    "profiles_dir",
-    "profile_request_path",
-    "request_profile",
-    "current_request",
-    "spill_profile",
-    "load_profile_doc",
-    "read_profile_docs",
-    "gc_stale_profiles",
-    "collect_fleet_profile",
+    "UNATTRIBUTED_BUSY",
+    "UNATTRIBUTED_IDLE",
     "merge_profile_docs",
     "collapsed_stacks",
     "span_totals",
@@ -82,21 +67,12 @@ __all__ = [
     "validate_profile",
 ]
 
-_log = get_logger("repro.obs.prof")
-
 #: Version stamp of profile documents; readers skip other schemas.
 PROFILE_SCHEMA = 1
-
-#: Default / maximum on-demand sampling window (seconds).
-DEFAULT_WINDOW_S = 3.0
-MAX_WINDOW_S = 30.0
 
 #: Default sampling interval; 5ms = 200Hz, cheap enough to leave the
 #: fleet responsive while a window is open.
 DEFAULT_INTERVAL_MS = 5.0
-
-#: How long a spilled profile stays readable before staleness GC.
-DEFAULT_PROFILE_TTL_S = 120.0
 
 #: Deepest stack recorded per sample; frames below the cut are dropped
 #: from the root end (the leaf is what a profile is about).
@@ -119,6 +95,11 @@ _IDLE_BASENAMES = frozenset(
         "subprocess.py",
     }
 )
+
+#: Leaf frames (as labelled in a profile) that block in C without a
+#: Python frame of their own: a ``ThreadPoolExecutor`` worker parked in
+#: ``SimpleQueue.get`` shows ``_worker`` as its leaf.
+_IDLE_LEAVES = frozenset({"futures/thread.py:_worker"})
 
 #: Roots used for samples with no live span path.
 UNATTRIBUTED_BUSY = "(untracked)"
@@ -208,11 +189,12 @@ def _extract_stack(frame) -> tuple[tuple[str, ...], bool]:
     while frame is not None and depth < MAX_STACK_DEPTH:
         code = frame.f_code
         if code.co_filename != _PROF_FILE:
+            label = _frame_label(code)
             if not leaf_seen:
                 leaf_seen = True
                 basename = code.co_filename.rpartition("/")[2]
-                idle = basename in _IDLE_BASENAMES
-            labels.append(_frame_label(code))
+                idle = basename in _IDLE_BASENAMES or label in _IDLE_LEAVES
+            labels.append(label)
         frame = frame.f_back
         depth += 1
     labels.reverse()
@@ -380,12 +362,6 @@ class Profiler:
     # -- export -----------------------------------------------------------
 
     def _to_doc(self) -> dict:
-        stacks = [
-            [list(spans), list(frames), count, int(idle)]
-            for (spans, frames, idle), count in sorted(
-                self._counts.items(), key=lambda kv: (-kv[1], kv[0])
-            )
-        ]
         return {
             "schema": PROFILE_SCHEMA,
             "kind": "cpu-profile",
@@ -399,14 +375,24 @@ class Profiler:
             "duration_s": round(self.duration_s, 6),
             "started_s": round(self._started_unix, 3),
             "written_s": round(time.time(), 3),
-            "ttl_s": DEFAULT_PROFILE_TTL_S,
             "ticks": self._ticks,
             "samples": sum(self._counts.values()),
-            "stacks": stacks,
+            "stacks": _stack_rows(self._counts),
         }
 
 
 # -- profile documents --------------------------------------------------------
+
+
+def _stack_rows(counts: dict) -> list[list]:
+    """The document's ``stacks`` rows for (spans, frames, idle) counts,
+    hottest first."""
+    return [
+        [list(spans), list(frames), count, int(idle)]
+        for (spans, frames, idle), count in sorted(
+            counts.items(), key=lambda kv: (-kv[1], kv[0])
+        )
+    ]
 
 
 def _iter_stacks(doc: dict):
@@ -443,12 +429,6 @@ def merge_profile_docs(docs: list[dict], request: dict | None = None) -> dict:
                 "samples": int(doc.get("samples", 0)),
             }
         )
-    stacks = [
-        [list(spans), list(frames), count, int(idle)]
-        for (spans, frames, idle), count in sorted(
-            counts.items(), key=lambda kv: (-kv[1], kv[0])
-        )
-    ]
     merged = {
         "schema": PROFILE_SCHEMA,
         "kind": "cpu-profile",
@@ -466,11 +446,10 @@ def merge_profile_docs(docs: list[dict], request: dict | None = None) -> dict:
         ),
         "duration_s": round(duration, 6),
         "written_s": round(time.time(), 3),
-        "ttl_s": DEFAULT_PROFILE_TTL_S,
         "ticks": ticks,
         "samples": sum(counts.values()),
         "processes": processes,
-        "stacks": stacks,
+        "stacks": _stack_rows(counts),
     }
     if request is not None:
         merged["request_id"] = request.get("id")
@@ -592,290 +571,3 @@ def validate_profile(
     if doc.get("merged") and not doc.get("processes"):
         problems.append("merged profile lists no source processes")
     return problems
-
-
-# -- fleet coordination -------------------------------------------------------
-
-
-def profiles_dir(root: str | Path) -> Path:
-    """The profile-spill directory under a store root."""
-    return Path(root) / "telemetry" / "profiles"
-
-
-def profile_request_path(root: str | Path) -> Path:
-    return profiles_dir(root) / "request.json"
-
-
-def current_request(root: str | Path, now: float | None = None) -> dict | None:
-    """The in-flight profile request, or ``None`` when the window closed."""
-    record = read_json(profile_request_path(root))
-    if record is None or record.get("kind") != "profile-request":
-        return None
-    now = time.time() if now is None else now
-    if float(record.get("deadline_s", 0.0)) <= now:
-        return None
-    return record
-
-
-def request_profile(
-    root: str | Path,
-    seconds: float = DEFAULT_WINDOW_S,
-    interval_ms: float = DEFAULT_INTERVAL_MS,
-    mode: str = "wall",
-) -> dict:
-    """Publish (or join) a fleet-wide sampling window through the store.
-
-    Taken under the telemetry lock: if another worker already opened a
-    window that is still mostly ahead of us, its request is returned
-    unchanged so concurrent ``/profile`` calls share one window instead
-    of fighting over the per-process profiler.
-    """
-    from repro.obs.fleet import _telemetry_lock
-
-    seconds = min(MAX_WINDOW_S, max(0.2, float(seconds)))
-    interval_ms = min(100.0, max(1.0, float(interval_ms)))
-    path = profile_request_path(root)
-    now = time.time()
-    with _telemetry_lock(root):
-        existing = current_request(root, now=now)
-        if existing is not None and (
-            float(existing["deadline_s"]) - now >= 0.5 * seconds
-        ):
-            return existing
-        request = {
-            "schema": PROFILE_SCHEMA,
-            "kind": "profile-request",
-            "id": uuid.uuid4().hex[:12],
-            "mode": mode if mode in ("wall", "cpu") else "wall",
-            "seconds": seconds,
-            "interval_ms": interval_ms,
-            "issued_s": round(now, 3),
-            "deadline_s": round(now + seconds, 3),
-        }
-        write_json(path, request)
-    return request
-
-
-def spill_profile(root: str | Path, doc: dict) -> Path | None:
-    """Atomically write one process's profile document under the store."""
-    from repro.obs.fleet import _safe_instance
-
-    stem = f"{_safe_instance(str(doc.get('instance', 'proc')))}-{doc.get('pid', 0)}.json"
-    path = profiles_dir(root) / stem
-    try:
-        write_json(path, doc)
-    except OSError:
-        return None
-    REGISTRY.counter(
-        "repro_profile_windows_total",
-        "Profile sampling windows this process has served",
-    ).inc()
-    return path
-
-
-def load_profile_doc(path: Path) -> dict | None:
-    """Parse one profile spill; torn/foreign/request files -> ``None``."""
-    record = read_json(path)
-    if (
-        record is None
-        or record.get("schema") != PROFILE_SCHEMA
-        or record.get("kind") != "cpu-profile"
-    ):
-        return None
-    return record
-
-
-def _profile_stale(path: Path, doc: dict | None, now: float) -> bool:
-    # TTL only: a capture is a point-in-time artifact that outlives its
-    # writer, so (unlike a metric shard) a dead pid does not retire it.
-    return is_stale(
-        doc,
-        now,
-        stamp="written_s",
-        ttl_s=DEFAULT_PROFILE_TTL_S,
-        owner_pid=False,
-        path=path,
-    )
-
-
-def _spill_paths(root: str | Path) -> list[Path]:
-    paths = state_files(profiles_dir(root))
-    return [path for path in paths if path.name != "request.json"]
-
-
-def read_profile_docs(
-    root: str | Path, request_id: str | None = None, gc: bool = True
-) -> list[dict]:
-    """Live profile spills under ``root`` (stale ones excluded and GC'd).
-
-    A spill stays readable for its TTL even after its writer exited — a
-    capture is a point-in-time artifact, so (unlike metric shards) a
-    dead pid does not retire it early.
-    """
-    now = time.time()
-    live: list[dict] = []
-    dead: list[Path] = []
-    for path in _spill_paths(root):
-        doc = load_profile_doc(path)
-        if _profile_stale(path, doc, now):
-            dead.append(path)
-        elif doc is not None and request_id in (None, doc.get("request_id")):
-            live.append(doc)
-    if gc and dead:
-        gc_stale_profiles(root, candidates=dead)
-    live.sort(key=lambda d: (str(d.get("role")), str(d.get("instance"))))
-    return live
-
-
-def gc_stale_profiles(
-    root: str | Path, candidates: list[Path] | None = None
-) -> list[Path]:
-    """Remove expired spills under the telemetry lock, exactly once
-    (:func:`~repro.durable.gc_once`); returns the paths removed."""
-    from repro.obs.fleet import _telemetry_lock
-
-    if candidates is None:
-        candidates = _spill_paths(root)
-    now = time.time()
-    removed = gc_once(
-        _telemetry_lock(root),
-        candidates,
-        lambda path: _profile_stale(path, load_profile_doc(path), now),
-    )
-    if removed:
-        _log.info(
-            "collected stale profile spills", extra={"count": len(removed)}
-        )
-    return removed
-
-
-def collect_fleet_profile(
-    root: str | Path,
-    request: dict,
-    grace_s: float = 2.0,
-    poll_s: float = 0.1,
-    expected: int | None = None,
-) -> dict:
-    """Wait out a request's window and merge every matching spill.
-
-    ``expected`` defaults to the number of live metric shards — the
-    processes whose agents should answer.  Collection returns as soon as
-    that many spills carry the request id, or once ``grace_s`` past the
-    window deadline has elapsed with whatever arrived.
-    """
-    if expected is None:
-        from repro.obs.fleet import read_live_shards
-
-        expected = max(1, len(read_live_shards(root, gc=False)))
-    deadline = float(request.get("deadline_s", time.time()))
-    request_id = request.get("id")
-    while True:
-        remaining = deadline + 0.2 - time.time()
-        if remaining <= 0:
-            break
-        time.sleep(min(poll_s, remaining))
-    stop_at = deadline + 0.2 + max(0.0, grace_s)
-    while True:
-        docs = read_profile_docs(root, request_id=request_id, gc=False)
-        if len(docs) >= expected or time.time() >= stop_at:
-            break
-        time.sleep(poll_s)
-    return merge_profile_docs(docs, request=request)
-
-
-# -- the per-process agent ----------------------------------------------------
-
-
-class ProfileAgent:
-    """Answers fleet profile requests from a daemon thread.
-
-    Watches the request file with a cheap ``stat`` every ``poll_s``
-    (re-parsing only when it changes), samples this process for each new
-    window, and spills the resulting document.  Start one per fleet
-    process, right next to its :class:`~repro.obs.fleet.ShardWriter`.
-    """
-
-    def __init__(
-        self,
-        root: str | Path,
-        instance: str,
-        role: str,
-        poll_s: float = 0.25,
-    ) -> None:
-        self.root = Path(root)
-        self.instance = instance
-        self.role = role
-        self.poll_s = max(0.05, float(poll_s))
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._request_sig: tuple | None = None
-        self._served_ids: set[str] = set()
-
-    def start(self) -> "ProfileAgent":
-        self._thread = threading.Thread(
-            target=self._run,
-            name=f"profile-agent-{self.instance}",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def close(self) -> None:
-        self._stop.set()
-        thread = self._thread
-        if thread is not None and thread is not threading.current_thread():
-            thread.join(timeout=2.0)
-
-    # -- internals --------------------------------------------------------
-
-    def _poll_request(self) -> dict | None:
-        path = profile_request_path(self.root)
-        try:
-            stat = path.stat()
-        except OSError:
-            return None
-        signature = (stat.st_mtime_ns, stat.st_size)
-        if signature == self._request_sig:
-            return None
-        self._request_sig = signature
-        return current_request(self.root)
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.poll_s):
-            request = self._poll_request()
-            if request is None:
-                continue
-            request_id = str(request.get("id"))
-            if request_id in self._served_ids:
-                continue
-            self._served_ids.add(request_id)
-            if len(self._served_ids) > 256:
-                self._served_ids.clear()
-                self._served_ids.add(request_id)
-            self._serve(request)
-
-    def _serve(self, request: dict) -> None:
-        remaining = float(request.get("deadline_s", 0.0)) - time.time()
-        if remaining <= 0.05:
-            return
-        try:
-            profiler = Profiler(
-                mode=str(request.get("mode", "wall")),
-                interval_ms=float(
-                    request.get("interval_ms", DEFAULT_INTERVAL_MS)
-                ),
-                instance=self.instance,
-                role=self.role,
-            ).start()
-        except (ProfilerError, ValueError):
-            return  # a manual profiler owns this process right now
-        try:
-            self._stop.wait(remaining)
-        finally:
-            doc = profiler.stop()
-        doc["request_id"] = request.get("id")
-        spill_profile(self.root, doc)
-        REGISTRY.counter(
-            "repro_profile_samples_total",
-            "Stack samples this process contributed to fleet profiles",
-        ).inc(int(doc.get("samples", 0)))

@@ -56,24 +56,20 @@ from repro.core.subsetting import subset_workloads
 from repro.errors import ReproError, ServiceError, WorkloadError
 from repro.metrics.catalog import METRICS
 from repro.obs.fleet import (
-    ShardWriter,
+    DEFAULT_WINDOW_S,
+    INTERVAL_S,
+    MAX_WINDOW_S,
+    TelemetryAgent,
+    collect_fleet_profile,
     fleet_status,
     merge_store_traces,
-    read_live_shards,
+    read_live,
     render_merged,
+    request_profile,
 )
 from repro.obs.log import get_logger
 from repro.obs.metrics import REGISTRY
-from repro.obs.prof import (
-    DEFAULT_INTERVAL_MS,
-    DEFAULT_WINDOW_S,
-    MAX_WINDOW_S,
-    ProfileAgent,
-    arm as arm_profiling,
-    collapsed_stacks,
-    collect_fleet_profile,
-    request_profile,
-)
+from repro.obs.prof import DEFAULT_INTERVAL_MS, collapsed_stacks
 from repro.obs.trace import Tracer, span as obs_span, tracing
 from repro.service.jobs import JobManager, JobState
 from repro.service.store import ResultStore, resolve_cache_dir
@@ -199,31 +195,23 @@ class CharacterizationService:
         self._suite_cache: tuple[str, dict] | None = None
         self._char_cache: dict[str, tuple[str, _Response]] = {}
         # Fleet telemetry: this process's metric shard (and trace spill)
-        # in the shared store, merged with the siblings' at scrape time.
-        self.shards = ShardWriter(
+        # in the shared store, merged with the siblings' at scrape time,
+        # and its answers to fleet-wide profile windows.  Started here,
+        # while we may still be on the main thread, so the sampling
+        # signals can be armed (else the profiler uses its thread clock).
+        self.telemetry = TelemetryAgent(
             self.store.root,
             instance=f"server-{self.jobs.instance}",
             role="server",
             tracer=self.tracer,
         ).start()
-        # Continuous-profiling plane: install the sampling signal
-        # handlers while we may still be on the main thread (a no-op
-        # otherwise — the profiler then falls back to its thread clock)
-        # and answer fleet-wide sampling windows from a daemon agent.
-        arm_profiling()
-        self.profile_agent = ProfileAgent(
-            self.store.root,
-            instance=f"server-{self.jobs.instance}",
-            role="server",
-        ).start()
 
     def close(self) -> None:
-        self.profile_agent.close()
         self.jobs.shutdown()
         # Final shard write *after* the jobs wind down so the last
         # counters of this worker's life are scrapeable until staleness
         # retires the shard.
-        self.shards.close()
+        self.telemetry.close()
 
     # -- routing --------------------------------------------------------------
 
@@ -363,14 +351,14 @@ class CharacterizationService:
         No ETag: the body changes with every observation, and scrapers
         poll unconditionally anyway.
         """
-        self.shards.write_now()
-        text = render_merged(read_live_shards(self.store.root))
+        self.telemetry.write_now()
+        text = render_merged(read_live(self.store.root, "metrics"))
         return _Response(200, text.encode("utf-8"), content_type=_PROMETHEUS)
 
     def _fleet(self) -> _Response:
         """``/fleet``: per-process liveness and merged fleet totals."""
-        self.shards.write_now()
-        status = fleet_status(read_live_shards(self.store.root))
+        self.telemetry.write_now()
+        status = fleet_status(read_live(self.store.root, "metrics"))
         ready, problems = self._readiness()
         status["health"] = {
             "instance": self.jobs.instance,
@@ -403,9 +391,9 @@ class CharacterizationService:
                 problems.append(f"store root {self.store.root} is missing")
         except OSError as exc:  # pragma: no cover - defensive
             problems.append(f"store root unreachable: {exc}")
-        freshness = max(3.0 * self.shards.interval_s, 5.0)
+        freshness = max(3.0 * INTERVAL_S, 5.0)
         try:
-            age = time.time() - self.shards.path.stat().st_mtime
+            age = time.time() - self.telemetry.path.stat().st_mtime
             if age > freshness:
                 problems.append(
                     f"own metric shard heartbeat is {age:.1f}s old "
@@ -432,7 +420,7 @@ class CharacterizationService:
 
         Publishes a sampling window through the store (concurrent
         requests join the same window), lets every process's
-        :class:`~repro.obs.prof.ProfileAgent` sample and spill, then
+        :class:`~repro.obs.fleet.TelemetryAgent` sample and spill, then
         merges the spills.  ``format=json`` (default) returns the merged
         profile document, ``format=collapsed`` flamegraph-ready text,
         ``format=flame`` the self-contained HTML flamegraph panel.
@@ -483,7 +471,7 @@ class CharacterizationService:
         if self.tracer is not None:
             # Flush this worker's newest spans so the merge includes the
             # requests that led up to this one.
-            self.shards.spill_trace()
+            self.telemetry.spill_trace()
         merged = merge_store_traces(self.store.root)
         return _Response(200, _dumps(merged))
 

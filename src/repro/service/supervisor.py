@@ -42,10 +42,9 @@ import time
 from http.server import ThreadingHTTPServer
 
 from repro.errors import ServiceError
-from repro.obs.fleet import ShardWriter
+from repro.obs.fleet import TelemetryAgent
 from repro.obs.log import get_logger
 from repro.obs.metrics import REGISTRY
-from repro.obs.prof import ProfileAgent, arm as arm_profiling
 from repro.service.server import CharacterizationService, ServiceConfig, _Handler
 from repro.service.store import resolve_cache_dir
 
@@ -186,8 +185,7 @@ class Supervisor:
         self._sock: socket.socket | None = None
         self._pids: set[int] = set()
         self._stopping = threading.Event()
-        self._shards: ShardWriter | None = None
-        self._profile_agent: ProfileAgent | None = None
+        self._telemetry: TelemetryAgent | None = None
         self.host = host
         self.port = port
 
@@ -209,17 +207,8 @@ class Supervisor:
             self.config.cache_dir if self.config is not None else None
         )
         if store_root is not None:
-            self._shards = ShardWriter(
+            self._telemetry = TelemetryAgent(
                 store_root, instance=f"sup-{os.getpid():x}", role="supervisor"
-            ).start()
-            # Answer fleet profile windows too: the supervisor is part
-            # of the fleet the flamegraph should account for.  Arm the
-            # sampling signals while this is still the main thread.
-            arm_profiling()
-            self._profile_agent = ProfileAgent(
-                store_root,
-                instance=f"sup-{os.getpid():x}",
-                role="supervisor",
             ).start()
         _log.info(
             "supervisor started",
@@ -261,10 +250,10 @@ class Supervisor:
                 continue
             self.restarts += 1
             _WORKER_RESTARTS.inc()
-            if self._shards is not None:
+            if self._telemetry is not None:
                 # Publish immediately: the very next /metrics scrape
                 # (any worker) must already show this restart.
-                self._shards.write_now()
+                self._telemetry.write_now()
             _log.warning(
                 "worker died; restarting",
                 extra={"pid": pid, "status": status,
@@ -318,12 +307,9 @@ class Supervisor:
         if self._sock is not None:
             self._sock.close()
             self._sock = None
-        if self._profile_agent is not None:
-            self._profile_agent.close()
-            self._profile_agent = None
-        if self._shards is not None:
-            self._shards.close()
-            self._shards = None
+        if self._telemetry is not None:
+            self._telemetry.close()
+            self._telemetry = None
 
     def __enter__(self) -> "Supervisor":
         self.start()

@@ -18,19 +18,17 @@ from pathlib import Path
 
 from repro.durable import write_json
 from repro.obs.fleet import (
-    DEFAULT_TTL_S,
-    ShardWriter,
+    TTL_S,
+    TelemetryAgent,
     fleet_status,
-    gc_stale_shards,
+    gc_stale,
     load_shard,
-    load_trace_spills,
     merge_shards,
     merge_store_traces,
     merge_traces,
-    metrics_dir,
-    read_live_shards,
+    read_live,
     render_merged,
-    traces_dir,
+    telemetry_dir,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -63,9 +61,11 @@ def _registry(requests: dict, jobs_live: float, store_entries: float):
     return registry
 
 
-def _write_shard(root, instance, registry, role="server") -> ShardWriter:
+def _write_shard(root, instance, registry, role="server") -> TelemetryAgent:
     """One snapshot, no timer thread — a frozen fake fleet member."""
-    writer = ShardWriter(root, instance=instance, role=role, registry=registry)
+    writer = TelemetryAgent(
+        root, instance=instance, role=role, registry=registry
+    )
     assert writer.write_now()
     return writer
 
@@ -79,7 +79,7 @@ class TestMergedExposition:
         _write_shard(
             tmp_path, "server-b", _registry({"200": 4, "500": 1}, 1, 7)
         )
-        text = render_merged(read_live_shards(tmp_path))
+        text = render_merged(read_live(tmp_path, "metrics"))
         assert text == (
             "# HELP repro_http_requests_total HTTP requests served\n"
             "# TYPE repro_http_requests_total counter\n"
@@ -97,7 +97,7 @@ class TestMergedExposition:
     def test_merged_totals_equal_per_shard_sums(self, tmp_path):
         _write_shard(tmp_path, "a", _registry({"200": 10}, 0, 1))
         _write_shard(tmp_path, "b", _registry({"200": 32}, 0, 1))
-        shards = read_live_shards(tmp_path)
+        shards = read_live(tmp_path, "metrics")
         per_shard = sum(
             s.counter_total("repro_http_requests_total") for s in shards
         )
@@ -114,7 +114,7 @@ class TestMergedExposition:
             for value in values:
                 hist.observe(value)
             _write_shard(tmp_path, instance, registry)
-        merged = merge_shards(read_live_shards(tmp_path))
+        merged = merge_shards(read_live(tmp_path, "metrics"))
         hist = merged.get("repro_http_request_seconds")
         assert hist.count == 3
         assert abs(hist.sum - 0.206) < 1e-9
@@ -127,14 +127,14 @@ class TestMergedExposition:
         # Same name, different kind: a mixed-version fleet member.
         registry.histogram("repro_http_requests_total", "now a histogram")
         _write_shard(tmp_path, "b", registry)
-        text = render_merged(read_live_shards(tmp_path))
+        text = render_merged(read_live(tmp_path, "metrics"))
         assert 'repro_http_requests_total{code="200"} 1' in text
 
 
 class TestShardLifecycle:
     def test_writer_start_close_keeps_shard_scrapeable(self, tmp_path):
         registry = _registry({"200": 5}, 0, 0)
-        writer = ShardWriter(
+        writer = TelemetryAgent(
             tmp_path, instance="w", role="server", registry=registry
         ).start()
         try:
@@ -143,31 +143,31 @@ class TestShardLifecycle:
             writer.close()
         # Clean exit does NOT delete the shard: the dead-worker counters
         # stay scrapeable until staleness retires them.
-        shards = read_live_shards(tmp_path)
+        shards = read_live(tmp_path, "metrics")
         assert [s.instance for s in shards] == ["w"]
         assert shards[0].counter_total("repro_http_requests_total") == 5
 
     def test_torn_shard_absent_but_not_reaped_while_fresh(self, tmp_path):
-        directory = metrics_dir(tmp_path)
+        directory = telemetry_dir(tmp_path, "metrics")
         directory.mkdir(parents=True)
         torn = directory / "torn-123.json"
         torn.write_text('{"schema": 1, "instance": "tor')
-        assert read_live_shards(tmp_path) == []
+        assert read_live(tmp_path, "metrics") == []
         assert torn.exists()  # fresh: a writer may be mid-rewrite
 
     def test_torn_shard_reaped_once_old(self, tmp_path):
-        directory = metrics_dir(tmp_path)
+        directory = telemetry_dir(tmp_path, "metrics")
         directory.mkdir(parents=True)
         torn = directory / "torn-123.json"
         torn.write_text("not json at all")
-        old = time.time() - DEFAULT_TTL_S - 60.0
+        old = time.time() - TTL_S - 60.0
         os.utime(torn, (old, old))
-        assert read_live_shards(tmp_path) == []
+        assert read_live(tmp_path, "metrics") == []
         assert not torn.exists()
 
     def test_ttl_stale_shard_excluded_and_gcd(self, tmp_path):
         _write_shard(tmp_path, "live", _registry({"200": 1}, 0, 0))
-        stale_path = metrics_dir(tmp_path) / "stale-999.json"
+        stale_path = telemetry_dir(tmp_path, "metrics") / "stale-999.json"
         write_json(
             stale_path,
             {
@@ -183,7 +183,7 @@ class TestShardLifecycle:
                 "metrics": {},
             },
         )
-        shards = read_live_shards(tmp_path)
+        shards = read_live(tmp_path, "metrics")
         assert [s.instance for s in shards] == ["live"]
         assert not stale_path.exists()
 
@@ -192,7 +192,9 @@ class TestShardLifecycle:
         proc.start()
         proc.join(10.0)
         dead_pid = proc.pid
-        dead_path = metrics_dir(tmp_path) / f"ghost-{dead_pid}.json"
+        dead_path = (
+            telemetry_dir(tmp_path, "metrics") / f"ghost-{dead_pid}.json"
+        )
         write_json(
             dead_path,
             {
@@ -208,17 +210,17 @@ class TestShardLifecycle:
                 "metrics": {},
             },
         )
-        assert read_live_shards(tmp_path) == []
+        assert read_live(tmp_path, "metrics") == []
         assert not dead_path.exists()
 
     def test_foreign_schema_ignored(self, tmp_path):
-        directory = metrics_dir(tmp_path)
+        directory = telemetry_dir(tmp_path, "metrics")
         directory.mkdir(parents=True)
         (directory / "future-1.json").write_text(
             json.dumps({"schema": 99, "instance": "future", "pid": 1})
         )
         assert load_shard(directory / "future-1.json") is None
-        assert read_live_shards(tmp_path) == []
+        assert read_live(tmp_path, "metrics") == []
 
 
 def _stale_record(index: int) -> dict:
@@ -236,10 +238,10 @@ def _stale_record(index: int) -> dict:
     }
 
 
-def _racing_collector(root, barrier, results, errors) -> None:
+def _racing_collector(root, barrier, results, errors, kind="metrics"):
     try:
         barrier.wait(10.0)
-        removed = gc_stale_shards(root)
+        removed = gc_stale(root, kind)
         results.put([path.name for path in removed])
     except Exception as exc:  # noqa: BLE001 - reported to the assertion
         errors.put(f"{type(exc).__name__}: {exc}")
@@ -252,7 +254,8 @@ def test_concurrent_gc_removes_each_shard_exactly_once(tmp_path):
     stale = 5
     for index in range(stale):
         write_json(
-            metrics_dir(tmp_path) / f"old-{index}-1.json", _stale_record(index)
+            telemetry_dir(tmp_path, "metrics") / f"old-{index}-1.json",
+            _stale_record(index),
         )
     barrier = _MP.Barrier(2)
     results = _MP.Queue()
@@ -274,14 +277,14 @@ def test_concurrent_gc_removes_each_shard_exactly_once(tmp_path):
     # Every shard removed; none removed twice.
     assert len(all_claims) == stale
     assert len(set(all_claims)) == stale
-    assert list(metrics_dir(tmp_path).glob("*.json")) == []
+    assert list(telemetry_dir(tmp_path, "metrics").glob("*.json")) == []
 
 
 def _snapshot_hammer(root, writer: int, rounds: int, done, stop, errors) -> None:
     try:
         registry = MetricsRegistry()
         counter = registry.counter("repro_hammer_total", "hammer writes")
-        shards = ShardWriter(
+        shards = TelemetryAgent(
             root, instance=f"w{writer}", role="server", registry=registry
         )
         for _ in range(rounds):
@@ -320,7 +323,7 @@ def test_concurrent_snapshot_writers_merge_to_exact_totals(tmp_path):
     finished = 0
     deadline = time.monotonic() + 30.0
     while finished < writers and time.monotonic() < deadline:
-        merged = merge_shards(read_live_shards(tmp_path))
+        merged = merge_shards(read_live(tmp_path, "metrics"))
         metric = merged.get("repro_hammer_total")
         if metric is not None:
             assert sum(metric._values.values()) <= writers * rounds
@@ -331,7 +334,7 @@ def test_concurrent_snapshot_writers_merge_to_exact_totals(tmp_path):
             pass
     assert finished == writers, errors.get() if not errors.empty() else None
     # All writers still alive: the merge must see the exact total.
-    merged = merge_shards(read_live_shards(tmp_path))
+    merged = merge_shards(read_live(tmp_path, "metrics"))
     assert sum(merged.get("repro_hammer_total")._values.values()) == (
         writers * rounds
     )
@@ -352,7 +355,7 @@ class TestFleetStatus:
         ).inc(2)
         _write_shard(tmp_path, "sup", registry, role="supervisor")
 
-        status = fleet_status(read_live_shards(tmp_path))
+        status = fleet_status(read_live(tmp_path, "metrics"))
         totals = status["totals"]
         assert totals["processes"] == 3
         assert totals["servers"] == 2
@@ -367,7 +370,7 @@ class TestFleetStatus:
         assert all(w["alive"] for w in status["workers"])
 
     def test_empty_fleet(self, tmp_path):
-        status = fleet_status(read_live_shards(tmp_path))
+        status = fleet_status(read_live(tmp_path, "metrics"))
         assert status["workers"] == []
         assert status["totals"]["processes"] == 0
         assert status["totals"]["requests_per_s"] == 0.0
@@ -477,11 +480,11 @@ class TestTraceMerge:
         assert labels == ["server-1 (server)"]
 
     def test_spill_and_merge_roundtrip(self, tmp_path):
-        """A real tracer spilled by a ShardWriter comes back mergeable."""
+        """A real tracer spilled by a TelemetryAgent comes back mergeable."""
         tracer = Tracer()
         with tracer.span("characterize", "pool", workload="H-Sort"):
             pass
-        writer = ShardWriter(
+        writer = TelemetryAgent(
             tmp_path,
             instance="pool-abc",
             role="pool",
@@ -489,7 +492,7 @@ class TestTraceMerge:
             tracer=tracer,
         )
         assert writer.write_now()
-        assert len(load_trace_spills(tmp_path)) == 1
+        assert len(read_live(tmp_path, "traces")) == 1
         merged = merge_store_traces(tmp_path)
         assert check_trace(merged, require_process_names=True) == []
         lanes = [
@@ -501,8 +504,55 @@ class TestTraceMerge:
         assert merged["otherData"]["pids"] == [os.getpid()]
 
     def test_torn_spill_skipped(self, tmp_path):
-        directory = traces_dir(tmp_path)
+        directory = telemetry_dir(tmp_path, "traces")
         directory.mkdir(parents=True)
         (directory / "torn-1.json").write_text('{"traceEvents": [')
-        assert load_trace_spills(tmp_path) == []
+        assert read_live(tmp_path, "traces") == []
         assert merge_store_traces(tmp_path)["traceEvents"] == []
+
+
+def _dead_pid() -> int:
+    proc = _MP.Process(target=lambda: None)
+    proc.start()
+    proc.join(10.0)
+    return proc.pid
+
+
+def test_expired_trace_spill_collected_once_fresh_dead_spill_kept(tmp_path):
+    """Trace spills live by their TTL alone: an expired spill leaves the
+    merge and is removed exactly once across racing collectors, while a
+    fresh spill from a dead process stays mergeable."""
+    dead_pid = _dead_pid()
+    directory = telemetry_dir(tmp_path, "traces")
+
+    def spill(name, pid, written_s):
+        doc = _doc(100.0, name, "server", pid, 1, "req", 0.0)
+        doc["otherData"].update(written_s=written_s, ttl_s=10.0)
+        write_json(directory / f"{name}-{pid}.json", doc)
+        return directory / f"{name}-{pid}.json"
+
+    fresh = spill("fresh", dead_pid, time.time())
+    expired = spill("expired", os.getpid(), time.time() - 1000.0)
+    barrier = _MP.Barrier(2)
+    results = _MP.Queue()
+    errors = _MP.Queue()
+    procs = [
+        _MP.Process(
+            target=_racing_collector,
+            args=(tmp_path, barrier, results, errors, "traces"),
+        )
+        for _ in range(2)
+    ]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(60.0)
+    assert errors.empty(), errors.get()
+    claimed = results.get(timeout=5.0) + results.get(timeout=5.0)
+    assert claimed == [expired.name]
+
+    expired = spill("expired", os.getpid(), time.time() - 1000.0)
+    merged = merge_store_traces(tmp_path)
+    assert merged["otherData"]["pids"] == [dead_pid]
+    assert not expired.exists()
+    assert fresh.exists()

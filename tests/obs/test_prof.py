@@ -13,29 +13,36 @@ import os
 import signal as signal_module
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.cluster.testbed import Cluster, MeasurementConfig
-from repro.obs.prof import (
-    DEFAULT_PROFILE_TTL_S,
+from repro.durable import write_json
+from repro.obs import fleet
+from repro.obs.fleet import (
     MAX_WINDOW_S,
+    TTL_S,
+    TelemetryAgent,
+    collect_fleet_profile,
+    current_request,
+    gc_stale,
+    load_shard,
+    profile_request_path,
+    read_live,
+    request_profile,
+    spill_profile,
+    telemetry_dir,
+)
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.prof import (
     PROFILE_SCHEMA,
-    ProfileAgent,
     Profiler,
     ProfilerError,
     attribution,
     collapsed_stacks,
-    collect_fleet_profile,
-    current_request,
-    gc_stale_profiles,
     merge_profile_docs,
-    profile_request_path,
-    profiles_dir,
-    read_profile_docs,
-    request_profile,
     span_totals,
-    spill_profile,
     validate_profile,
 )
 from repro.obs.trace import Tracer, tracing
@@ -141,6 +148,26 @@ def test_profiler_lifecycle_errors():
         profiler.stop()
 
 
+def test_parked_executor_worker_samples_are_idle():
+    """A ThreadPoolExecutor worker waiting for work blocks in C
+    (``SimpleQueue.get``), so its leaf frame is the pool's ``_worker``
+    loop itself: it must land in the idle bucket, not count as
+    untracked busy time."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pool.submit(lambda: None).result(timeout=5.0)
+        profiler = Profiler(clock="thread", interval_ms=2.0).start()
+        time.sleep(0.2)
+        doc = profiler.stop()
+    parked = [
+        entry
+        for entry in doc["stacks"]
+        if entry[1][-1] == "futures/thread.py:_worker"
+    ]
+    assert parked, doc["stacks"]
+    assert all(idle == 1 and not spans for spans, _f, _c, idle in parked)
+    assert attribution(doc)["idle"] >= sum(entry[2] for entry in parked)
+
+
 def test_characterization_is_bit_identical_under_the_profiler():
     """The acceptance invariant: sampling observes, never perturbs."""
     workload = workload_by_name("H-WordCount")
@@ -172,7 +199,7 @@ def _doc(stacks, **extra) -> dict:
         "interval_ms": 5.0,
         "duration_s": 1.0,
         "written_s": extra.pop("written_s", time.time()),
-        "ttl_s": extra.pop("ttl_s", DEFAULT_PROFILE_TTL_S),
+        "ttl_s": extra.pop("ttl_s", TTL_S),
         "ticks": sum(entry[2] for entry in stacks),
         "samples": sum(entry[2] for entry in stacks),
         "stacks": stacks,
@@ -186,6 +213,21 @@ SAMPLE_STACKS = [
     [[], ["c.py:h"], 3, 0],
     [[], ["threading.py:wait"], 2, 1],
 ]
+
+
+def _write_stale_spill(root, instance: str, pid: int):
+    """A spill written a minute ago with a 1 s TTL (``spill_profile``
+    always stamps the present, so it is written directly)."""
+    path = telemetry_dir(root, "profiles") / f"{instance}-{pid}.json"
+    doc = _doc(
+        SAMPLE_STACKS,
+        instance=instance,
+        pid=pid,
+        written_s=time.time() - 60.0,
+        ttl_s=1.0,
+    )
+    write_json(path, doc)
+    return path
 
 
 def test_collapsed_stacks_lead_with_the_span_path():
@@ -274,16 +316,15 @@ def test_current_request_expires_at_the_deadline(tmp_path):
 def test_spills_survive_their_writer_but_not_their_ttl(tmp_path):
     # A capture from a pid that no longer exists stays readable: unlike
     # metric shards, a profile is a point-in-time artifact.
-    live = _doc(SAMPLE_STACKS, instance="gone", pid=2**22 + 17)
+    live = _doc(SAMPLE_STACKS, instance="gone", pid=2**22 + 17, ttl_s=5.0)
     path = spill_profile(tmp_path, live)
-    assert path is not None and path.parent == profiles_dir(tmp_path)
-    assert [d["instance"] for d in read_profile_docs(tmp_path)] == ["gone"]
+    assert path is not None and path.parent == telemetry_dir(tmp_path, "profiles")
+    (spilled,) = read_live(tmp_path, "profiles")
+    assert spilled["instance"] == "gone"
+    assert spilled["ttl_s"] == TTL_S  # the fleet's one TTL, stamped on spill
 
-    stale = _doc(
-        SAMPLE_STACKS, instance="old", written_s=time.time() - 60.0, ttl_s=1.0
-    )
-    stale_path = spill_profile(tmp_path, stale)
-    docs = read_profile_docs(tmp_path)  # default gc=True collects it
+    stale_path = _write_stale_spill(tmp_path, "old", os.getpid())
+    docs = read_live(tmp_path, "profiles")  # default gc=True collects it
     assert [d["instance"] for d in docs] == ["gone"]
     assert not stale_path.exists()
 
@@ -295,13 +336,17 @@ def test_read_skips_the_request_file_and_filters_by_request_id(tmp_path):
     other = _doc(SAMPLE_STACKS, instance="w2", pid=1, request_id="deadbeef")
     spill_profile(tmp_path, tagged)
     spill_profile(tmp_path, other)
-    assert len(read_profile_docs(tmp_path)) == 2
-    matched = read_profile_docs(tmp_path, request_id=request["id"])
-    assert [d["instance"] for d in matched] == ["w1"]
+    assert len(read_live(tmp_path, "profiles")) == 2
+    closed = {**request, "deadline_s": time.time() - 1.0}
+    merged = collect_fleet_profile(tmp_path, closed, grace_s=0, expected=2)
+    assert [p["instance"] for p in merged["processes"]] == ["w1"]
+    assert merged["samples"] == tagged["samples"]
+    assert merged["request_id"] == request["id"]
 
 
-def test_profile_agent_serves_a_window_end_to_end(tmp_path):
-    agent = ProfileAgent(tmp_path, instance="agent1", role="test", poll_s=0.05)
+def test_profile_agent_serves_a_window_end_to_end(tmp_path, monkeypatch):
+    monkeypatch.setattr(fleet, "POLL_S", 0.05)
+    agent = TelemetryAgent(tmp_path, instance="agent1", role="test")
     agent.start()
     stop_burn = threading.Event()
     tracer = Tracer()
@@ -329,6 +374,116 @@ def test_profile_agent_serves_a_window_end_to_end(tmp_path):
     assert any(
         row["path"] == "test:agent-burn" for row in span_totals(merged)
     ), span_totals(merged)
+
+
+def _open_window(agent: TelemetryAgent, root, seconds: float) -> dict:
+    request = request_profile(root, seconds=seconds, interval_ms=2.0)
+    deadline = time.monotonic() + 5.0
+    while agent._window is None and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert agent._window is not None, "the agent never opened the window"
+    return request
+
+
+def test_shard_heartbeat_advances_while_a_window_is_open(
+    tmp_path, monkeypatch
+):
+    """An open window must not stall the agent's loop: /readyz judges
+    the worker by the shard heartbeat."""
+    monkeypatch.setattr(fleet, "INTERVAL_S", 0.1)
+    monkeypatch.setattr(fleet, "POLL_S", 0.05)
+    agent = TelemetryAgent(
+        tmp_path, instance="beat", role="test", registry=MetricsRegistry()
+    ).start()
+    try:
+        _open_window(agent, tmp_path, seconds=5.0)
+        first = load_shard(agent.path).written_s
+        time.sleep(0.5)
+        assert agent._window is not None  # still sampling
+        assert load_shard(agent.path).written_s > first
+        assert read_live(tmp_path, "profiles") == []
+    finally:
+        agent.close()
+
+
+def test_close_during_a_window_spills_the_partial_capture(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(fleet, "POLL_S", 0.05)
+    agent = TelemetryAgent(
+        tmp_path, instance="short", role="test", registry=MetricsRegistry()
+    ).start()
+    try:
+        request = _open_window(agent, tmp_path, seconds=20.0)
+        _burn(0.2)
+    finally:
+        started = time.monotonic()
+        agent.close()
+    assert time.monotonic() - started < 5.0  # cut short, not waited out
+    docs = read_live(tmp_path, "profiles")
+    assert [doc["request_id"] for doc in docs] == [request["id"]]
+    assert docs[0]["instance"] == "short"
+    assert docs[0]["samples"] > 0
+    assert docs[0]["duration_s"] < 20.0
+
+
+def _assert_heartbeat_advances(agent: TelemetryAgent) -> None:
+    first = load_shard(agent.path).written_s
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline:
+        if load_shard(agent.path).written_s > first:
+            break
+        time.sleep(0.05)
+    assert load_shard(agent.path).written_s > first
+    assert agent._thread.is_alive()
+
+
+@pytest.mark.parametrize("deadline", [None, "soon", [1]])
+def test_malformed_request_does_not_stop_the_heartbeat(
+    tmp_path, monkeypatch, deadline
+):
+    """The request file is foreign input: a bad one is no window, and
+    the agent's shard keeps being written."""
+    monkeypatch.setattr(fleet, "INTERVAL_S", 0.1)
+    monkeypatch.setattr(fleet, "POLL_S", 0.05)
+    write_json(
+        profile_request_path(tmp_path),
+        {"kind": "profile-request", "id": "bad", "deadline_s": deadline},
+    )
+    assert current_request(tmp_path) is None
+    agent = TelemetryAgent(
+        tmp_path, instance="bad", role="test", registry=MetricsRegistry()
+    ).start()
+    try:
+        time.sleep(0.2)  # several polls of the bad request
+        _assert_heartbeat_advances(agent)
+        assert agent._window is None
+    finally:
+        agent.close()
+
+
+def test_a_failing_window_is_dropped_and_the_heartbeat_goes_on(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(fleet, "INTERVAL_S", 0.1)
+    monkeypatch.setattr(fleet, "POLL_S", 0.05)
+
+    def broken_spill(root, doc):
+        raise RuntimeError("disk on fire")
+
+    monkeypatch.setattr(fleet, "spill_profile", broken_spill)
+    agent = TelemetryAgent(
+        tmp_path, instance="fail", role="test", registry=MetricsRegistry()
+    ).start()
+    try:
+        _open_window(agent, tmp_path, seconds=0.3)
+        deadline = time.monotonic() + 5.0
+        while agent._window is not None and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert agent._window is None  # closed at its deadline, spill failed
+        _assert_heartbeat_advances(agent)
+    finally:
+        agent.close()
 
 
 # -- the fork race harness ----------------------------------------------------
@@ -375,8 +530,8 @@ def test_two_process_concurrent_spills_merge_to_exact_totals(tmp_path):
     errors = [r for r in reports if r[0] == "error"]
     assert not errors, errors
 
-    docs = read_profile_docs(tmp_path, request_id=request["id"])
-    assert len(docs) == 2
+    docs = read_live(tmp_path, "profiles")
+    assert [d["request_id"] for d in docs] == [request["id"]] * 2
     merged = merge_profile_docs(docs, request=request)
     assert merged["samples"] == sum(r[2] for r in reports)
     assert merged["samples"] > 0
@@ -396,7 +551,7 @@ def _racing_profile_collector(root, barrier, results):
     """Child: race the stale-spill GC and report what it removed."""
     try:
         barrier.wait(timeout=10.0)
-        removed = gc_stale_profiles(root)
+        removed = gc_stale(root, "profiles")
         results.put(("ok", [path.name for path in removed]))
     except Exception as exc:  # noqa: BLE001 - surfaced in the parent
         results.put(("error", f"{type(exc).__name__}: {exc}"))
@@ -406,16 +561,7 @@ def _racing_profile_collector(root, barrier, results):
 def test_concurrent_gc_removes_each_stale_spill_exactly_once(tmp_path):
     stale_names = []
     for index in range(4):
-        path = spill_profile(
-            tmp_path,
-            _doc(
-                SAMPLE_STACKS,
-                instance=f"old{index}",
-                pid=9000 + index,
-                written_s=time.time() - 60.0,
-                ttl_s=1.0,
-            ),
-        )
+        path = _write_stale_spill(tmp_path, f"old{index}", 9000 + index)
         stale_names.append(path.name)
     keeper = spill_profile(tmp_path, _doc(SAMPLE_STACKS, instance="fresh"))
 
@@ -442,5 +588,5 @@ def test_concurrent_gc_removes_each_stale_spill_exactly_once(tmp_path):
     assert sorted(claimed) == sorted(stale_names)
     assert len(claimed) == len(set(claimed))
     assert keeper.exists()
-    survivors = [d["instance"] for d in read_profile_docs(tmp_path)]
+    survivors = [d["instance"] for d in read_live(tmp_path, "profiles")]
     assert survivors == ["fresh"]

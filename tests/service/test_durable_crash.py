@@ -27,13 +27,13 @@ import pytest
 
 from repro.durable import read_json, read_lines
 from repro.obs.fleet import (
-    ShardWriter,
-    load_trace_spills,
-    metrics_dir,
-    read_live_shards,
+    TelemetryAgent,
+    read_live,
+    spill_profile,
+    telemetry_dir,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.prof import PROFILE_SCHEMA, read_profile_docs, spill_profile
+from repro.obs.prof import PROFILE_SCHEMA
 from repro.service.claims import ClaimRegistry
 from repro.service.jobs import Job, JobManager
 from repro.service.store import SCHEMA_VERSION, ResultStore
@@ -84,7 +84,9 @@ def _shards(root, _start: int) -> None:
     counter = registry.counter("crash_total", "Writes", ("slot",))
     for slot in range(200):
         counter.inc(slot, slot=str(slot))
-    writer = ShardWriter(root, instance="crash", role="server", registry=registry)
+    writer = TelemetryAgent(
+        root, instance="crash", role="server", registry=registry
+    )
     while True:
         writer.write_now()
 
@@ -209,10 +211,10 @@ def test_shards_survive_sigkill(tmp_path):
     written = []
 
     def check(root, _kill):
-        written.extend(metrics_dir(root).glob("*.json"))
+        written.extend(telemetry_dir(root, "metrics").glob("*.json"))
         # Each dead writer's shard names a dead pid: never live.
-        assert read_live_shards(root) == []
-        assert load_trace_spills(root) == []
+        assert read_live(root, "metrics") == []
+        assert read_live(root, "traces") == []
 
     _kill_points(_shards, tmp_path, seed=13, check=check)
     assert written  # the child got to write
@@ -224,7 +226,7 @@ def test_profile_spills_survive_sigkill(tmp_path):
 
     def check(root, _kill):
         # TTL-only: a dead writer's capture stays readable.
-        seen.update(doc["pid"] for doc in read_profile_docs(root))
+        seen.update(doc["pid"] for doc in read_live(root, "profiles"))
 
     _kill_points(_profiles, tmp_path, seed=14, check=check)
     assert seen  # the child got to spill

@@ -18,7 +18,7 @@ import pytest
 
 from repro.cluster.collection import CollectionConfig
 from repro.cluster.testbed import MeasurementConfig
-from repro.obs.fleet import load_shard, metrics_dir
+from repro.obs.fleet import load_shard, telemetry_dir
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceConfig
 from repro.service.supervisor import Supervisor
@@ -74,7 +74,7 @@ def _exposition_values(text: str, name: str) -> dict[str, float]:
 def _shard_sums(store: str) -> dict[str, float]:
     """Per-metric counter sums straight from the shard files on disk."""
     sums: dict[str, float] = {}
-    for path in sorted(metrics_dir(store).glob("*.json")):
+    for path in sorted(telemetry_dir(store, "metrics").glob("*.json")):
         shard = load_shard(path)
         if shard is None:
             continue

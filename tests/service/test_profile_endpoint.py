@@ -1,6 +1,6 @@
 """Tests for the health probes and the on-demand fleet profile endpoint.
 
-``serve()`` runs in this process, so its :class:`ProfileAgent` samples
+``serve()`` runs in this process, so its :class:`TelemetryAgent` samples
 the test process itself — which lets these tests prove end-to-end span
 attribution: a traced busy thread started here must show up, by span
 path, in the document ``GET /profile`` returns.
@@ -114,11 +114,11 @@ def test_readyz_degrades_to_503_when_the_heartbeat_goes_stale(tmp_path):
     server, base = _start(tmp_path / "store")
     try:
         service = server.service
-        # Stop the shard writer, then age its spill past the freshness
-        # budget: readiness must flip without the worker dying.
-        service.shards.close()
+        # Stop the telemetry agent, then age its shard past the
+        # freshness budget: readiness must flip without the worker dying.
+        service.telemetry.close()
         stale = time.time() - 3600.0
-        os.utime(service.shards.path, (stale, stale))
+        os.utime(service.telemetry.path, (stale, stale))
         payload = ServiceClient(base).readyz()
         assert payload["ready"] is False
         assert any("heartbeat" in problem for problem in payload["problems"])

@@ -12,20 +12,14 @@ the next ``put`` would rewrite ``index.json`` holding one entry.
 import pytest
 
 from repro.obs.fleet import (
-    load_shard,
-    load_trace_spills,
-    metrics_dir,
-    read_live_shards,
-    traces_dir,
-)
-from repro.obs.ledger import load_history
-from repro.obs.prof import (
     current_request,
     load_profile_doc,
+    load_shard,
     profile_request_path,
-    profiles_dir,
-    read_profile_docs,
+    read_live,
+    telemetry_dir,
 )
+from repro.obs.ledger import load_history
 from repro.service.claims import ClaimRegistry
 from repro.service.jobs import JobManager
 from repro.service.store import ResultStore
@@ -43,22 +37,22 @@ def _readers(root):
     claims = ClaimRegistry(root)
     jobs = JobManager(ResultStore(root), instance="torn")
     snapshot = jobs.shared_dir / "job-other-000001.json"
-    shard = metrics_dir(root) / "server-a-101.json"
-    spill = profiles_dir(root) / "server-a-101.json"
+    shard = telemetry_dir(root, "metrics") / "server-a-101.json"
+    spill = telemetry_dir(root, "profiles") / "server-a-101.json"
     return jobs, [
         ("claim", root / "claims" / "k.claim", lambda: claims.holder("k")),
         ("runs-log", root / "claims" / "runs.log", claims.runs),
         ("job-load_shared", snapshot, lambda: jobs.load_shared(snapshot.stem)),
         ("job-shared_jobs", snapshot, jobs.shared_jobs),
         ("shard", shard, lambda: load_shard(shard)),
-        ("live-shards", shard, lambda: read_live_shards(root)),
+        ("live-shards", shard, lambda: read_live(root, "metrics")),
         (
             "trace-spill",
-            traces_dir(root) / "server-a-101.json",
-            lambda: load_trace_spills(root),
+            telemetry_dir(root, "traces") / "server-a-101.json",
+            lambda: read_live(root, "traces"),
         ),
         ("profile-spill", spill, lambda: load_profile_doc(spill)),
-        ("profile-spills", spill, lambda: read_profile_docs(root)),
+        ("profile-spills", spill, lambda: read_live(root, "profiles")),
         (
             "profile-request",
             profile_request_path(root),

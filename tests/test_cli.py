@@ -151,10 +151,10 @@ class TestServe:
 class TestTraceMerge:
     def _spill(self, store, instance, role, pid, epoch):
         from repro.durable import write_json
-        from repro.obs.fleet import traces_dir
+        from repro.obs.fleet import telemetry_dir
 
         write_json(
-            traces_dir(store) / f"{instance}-{pid}.json",
+            telemetry_dir(store, "traces") / f"{instance}-{pid}.json",
             {
                 "traceEvents": [
                     {"name": "work", "ph": "X", "ts": 10.0, "dur": 5.0,
@@ -196,14 +196,14 @@ class TestTraceMerge:
 
 class TestStatus:
     def test_store_mode_prints_fleet_table(self, tmp_path, capsys):
-        from repro.obs.fleet import ShardWriter
+        from repro.obs.fleet import TelemetryAgent
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
         registry.counter(
             "repro_http_requests_total", "requests", ("code",)
         ).inc(5, code="200")
-        ShardWriter(
+        TelemetryAgent(
             tmp_path, instance="server-x", role="server", registry=registry
         ).write_now()
         assert main(["status", "--store", str(tmp_path)]) == 0

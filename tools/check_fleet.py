@@ -41,7 +41,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.cluster.collection import CollectionConfig  # noqa: E402
 from repro.cluster.testbed import MeasurementConfig  # noqa: E402
-from repro.obs.fleet import load_shard, metrics_dir  # noqa: E402
+from repro.obs.fleet import load_shard, telemetry_dir  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
 from repro.service.server import ServiceConfig  # noqa: E402
 from repro.service.supervisor import Supervisor  # noqa: E402
@@ -75,7 +75,7 @@ def _exposition_values(text: str, name: str) -> dict[str, float]:
 def _shard_sums(store: str) -> dict[str, float]:
     """Per-family counter sums straight from the shard files on disk."""
     sums: dict[str, float] = {}
-    for path in sorted(metrics_dir(store).glob("*.json")):
+    for path in sorted(telemetry_dir(store, "metrics").glob("*.json")):
         shard = load_shard(path)
         if shard is None:
             continue

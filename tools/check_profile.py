@@ -82,8 +82,8 @@ def run_gate(
 
         # Kick the cold *suite* collection (it fans out to real pool
         # worker processes) from a background thread, give the pool a
-        # beat to fork and arm its ProfileAgents, then open the window
-        # while the work is in flight.
+        # beat to fork and start its telemetry agents, then open the
+        # window while the work is in flight.
         matrix_result: dict = {}
         matrix_errors: list[str] = []
 
