@@ -32,8 +32,7 @@ nothing touches either between consecutive fetches), and the MLP
 integral is computed post hoc from the recorded fill deadlines via the
 closed form of the per-op loop's occupancy count.  The per-op loop lives
 on as the test oracle ``tests/arch/reference_engine.py``; the
-equivalence is pinned by ``tests/arch/test_batch_equivalence.py`` and by
-the ``bench_speed --check`` gate.
+equivalence is pinned by ``tests/arch/test_batch_equivalence.py``.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ SIGKILL leaves the page cache intact.  Stdlib-only; callers pass locks in.
 from __future__ import annotations
 
 import json
+import math
 import os
 import socket
 import tempfile
@@ -159,16 +160,26 @@ def is_stale(
     Stale means ``now - record[stamp]`` exceeds the record's own
     ``ttl_s`` (else ``ttl_s``) or, with ``owner_pid``, the record's pid
     is dead on this host.  ``owner_pid=False`` suits artifacts meant to
-    outlive their writer.  An unreadable record (``None``) is stale once
-    ``path``'s mtime is ``ttl_s`` old: a live writer may be mid-rewrite.
-    A vanished file is never stale.
+    outlive their writer.  An unreadable record (``None``), or one whose
+    stamp or ``ttl_s`` is not a finite number, is stale once ``path``'s
+    mtime is ``ttl_s`` old: a live writer may be mid-rewrite.  A
+    vanished file is never stale.
     """
-    if record is None:
+    times = None
+    if record is not None:
+        times = (record.get(stamp, 0.0), record.get("ttl_s", ttl_s))
+        if not all(
+            isinstance(value, (int, float)) and math.isfinite(value)
+            for value in times
+        ):
+            times = None
+    if times is None:
         try:
             return now - os.stat(path).st_mtime > ttl_s
         except OSError:
             return False
-    if now - float(record.get(stamp, 0.0)) > float(record.get("ttl_s", ttl_s)):
+    written, own_ttl = times
+    if now - written > own_ttl:
         return True
     pid = record.get("pid")
     return (

@@ -26,7 +26,7 @@ Inside one process, four modules record what happened:
 
 :mod:`repro.obs.timeline` samples a workload's runtime and PMU state
 over time.  :mod:`repro.obs.stats` carries the timing/percentile helpers
-the benchmark harnesses share.  :mod:`repro.obs.prof` is a statistical
+of perfbench and the slow overhead tests.  :mod:`repro.obs.prof` is a statistical
 stack sampler whose samples are attributed to the live span path, plus
 the profile-document functions (merge, collapsed stacks, attribution).
 :mod:`repro.obs.fleet` extends the plane across *processes*: one
@@ -36,7 +36,7 @@ and the same module reads them back, collects the stale ones and
 merges them into one fleet-wide ``/metrics`` exposition, ``/fleet``
 status view, multi-lane Chrome trace and fleet profile
 (``GET /profile``, ``repro profile``).  :mod:`repro.obs.ledger` keeps
-the perf-regression ledger the bench tools append to.
+the perf ledger ``perfbench/run.py`` appends to.
 """
 
 from repro.obs.fleet import TelemetryAgent, fleet_status, merge_traces, read_live

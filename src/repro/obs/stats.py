@@ -1,10 +1,11 @@
-"""Timing and percentile helpers shared by the benchmark harnesses.
+"""Timing and percentile helpers for measurements.
 
-``tools/bench_speed.py``, ``tools/bench_faults.py`` and
-``tools/bench_service.py`` each used to hand-roll ``perf_counter``
-bookkeeping and summary arithmetic; the shared vocabulary lives here so
-every bench reports latencies the same way (and the service's ``/stats``
-endpoint can reuse the same summaries).
+``perfbench/run.py`` reports latency percentiles with
+:func:`percentile`; the slow-marked overhead and throughput tests
+(``tests/obs/test_trace.py``, ``tests/obs/test_timeline.py``,
+``tests/cluster/test_collection_parallel.py``,
+``tests/service/test_supervisor.py``) time their runs with
+:class:`Stopwatch` and :func:`best_of`.
 
 Standard library only — no numpy, so the obs layer stays importable
 everywhere.
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 
-__all__ = ["Stopwatch", "best_of", "percentile", "summarize"]
+__all__ = ["Stopwatch", "best_of", "percentile"]
 
 
 class Stopwatch:
@@ -72,23 +73,3 @@ def percentile(values: list[float], q: float) -> float:
         return float(ordered[lower])
     fraction = rank - lower
     return float(ordered[lower] * (1.0 - fraction) + ordered[upper] * fraction)
-
-
-def summarize(values: list[float], unit: str = "s") -> dict:
-    """Count/min/mean/p50/p95/p99/max of a latency sample, rounded.
-
-    The dict is JSON-ready and keyed the way every BENCH file and the
-    ``/stats`` endpoint report distributions.
-    """
-    if not values:
-        return {"count": 0, "unit": unit}
-    return {
-        "count": len(values),
-        "unit": unit,
-        "min": round(min(values), 6),
-        "mean": round(sum(values) / len(values), 6),
-        "p50": round(percentile(values, 0.50), 6),
-        "p95": round(percentile(values, 0.95), 6),
-        "p99": round(percentile(values, 0.99), 6),
-        "max": round(max(values), 6),
-    }

@@ -95,6 +95,10 @@ CORRELATION_HEADER = "X-Repro-Correlation-Id"
 #: Ring bound of the service's long-running tracer (newest spans win).
 _TRACE_CAPACITY = 8192
 
+#: Derived responses (matrix, subsets, observations, dashboard) kept for
+#: the current suite etag; the least recently used goes first.
+_DERIVED_CAPACITY = 64
+
 _log = get_logger("repro.service.server")
 
 _HTTP_REQUESTS = REGISTRY.counter(
@@ -120,7 +124,8 @@ class ServiceConfig:
             or a private temporary directory.
         workers: Process fan-out within one collection.
         request_timeout_s: How long a blocking endpoint waits for its
-            job before giving up with 504.
+            job before giving up with 504; also the longest a job's
+            event stream stays open.
         subsetting_seed: Seed for the ``/subset`` K-means restarts.
         tracing: Record request and job spans in a bounded service
             tracer (correlation ids from ``X-Repro-Correlation-Id``
@@ -212,6 +217,24 @@ class CharacterizationService:
         # counters of this worker's life are scrapeable until staleness
         # retires the shard.
         self.telemetry.close()
+
+    def _derived_get(self, key: tuple) -> _Response | None:
+        with self._lock:
+            response = self._derived.pop(key, None)
+            if response is not None:
+                self._derived[key] = response  # now the most recently used
+        return response
+
+    def _derived_put(self, key: tuple, response: _Response) -> None:
+        """Cache ``response`` under ``key`` (``(kind, suite etag, ...)``),
+        dropping every entry of another etag and the least recently used
+        beyond :data:`_DERIVED_CAPACITY`."""
+        with self._lock:
+            for old in [k for k in self._derived if k[1] != key[1]]:
+                del self._derived[old]
+            self._derived[key] = response
+            while len(self._derived) > _DERIVED_CAPACITY:
+                del self._derived[next(iter(self._derived))]
 
     # -- routing --------------------------------------------------------------
 
@@ -594,7 +617,8 @@ class CharacterizationService:
         Replays every recorded event from the start (so a stream opened
         after a fast job finished still sees submit → progress → done),
         then follows the live job until it reaches a terminal state or
-        the ``timeout`` query parameter (seconds) elapses.
+        the ``timeout`` query parameter (seconds, at most
+        ``request_timeout_s``) elapses.
 
         Jobs owned by a *sibling* worker process stream too: their
         persisted snapshots are replayed and then tailed from the shared
@@ -610,6 +634,11 @@ class CharacterizationService:
             )
         except ValueError:
             raise _HttpError(400, "timeout must be a number") from None
+        if not math.isfinite(timeout):
+            raise _HttpError(400, "timeout must be a finite number")
+        # A stream writes nothing while it waits, so it cannot notice a
+        # departed client: only its deadline frees the thread.
+        timeout = min(timeout, self.config.request_timeout_s)
 
         def format_event(index: int, event: dict) -> bytes:
             payload = _dumps(event).decode("utf-8")
@@ -672,11 +701,10 @@ class CharacterizationService:
 
     def _matrix(self, correlation_id: str | None = None) -> _Response:
         entry, etag = self._ensure_suite(correlation_id)
-        with self._lock:
-            cached = self._derived.get(("matrix", etag))
-            if cached is None:
-                cached = _Response(200, _dumps(entry["matrix"]), etag=etag)
-                self._derived[("matrix", etag)] = cached
+        cached = self._derived_get(("matrix", etag))
+        if cached is None:
+            cached = _Response(200, _dumps(entry["matrix"]), etag=etag)
+            self._derived_put(("matrix", etag), cached)
         return cached
 
     def _subset(
@@ -701,8 +729,7 @@ class CharacterizationService:
             raise _HttpError(400, f"k must be in [2, {n - 1}] for {n} workloads")
         entry, etag = self._ensure_suite(correlation_id)
         cache_key = ("subset", etag, k)
-        with self._lock:
-            cached = self._derived.get(cache_key)
+        cached = self._derived_get(cache_key)
         if cached is not None:
             return cached
 
@@ -746,8 +773,7 @@ class CharacterizationService:
                 "nearest": reps(result.nearest),
             }
         )
-        with self._lock:
-            self._derived[cache_key] = response
+        self._derived_put(cache_key, response)
         return response
 
     def _workload_costs(self, entry: dict):
@@ -824,8 +850,7 @@ class CharacterizationService:
             )
         entry, etag = self._ensure_suite(correlation_id)
         cache_key = ("subset-budget", etag, budget_s)
-        with self._lock:
-            cached = self._derived.get(cache_key)
+        cached = self._derived_get(cache_key)
         if cached is not None:
             return cached
 
@@ -853,8 +878,7 @@ class CharacterizationService:
             for pick in selection.picks
         }
         response = _computed(body)
-        with self._lock:
-            self._derived[cache_key] = response
+        self._derived_put(cache_key, response)
         return response
 
     def _observations(self, correlation_id: str | None = None) -> _Response:
@@ -866,8 +890,7 @@ class CharacterizationService:
             )
         _, etag = self._ensure_suite(correlation_id)
         cache_key = ("observations", etag)
-        with self._lock:
-            cached = self._derived.get(cache_key)
+        cached = self._derived_get(cache_key)
         if cached is not None:
             return cached
 
@@ -898,8 +921,7 @@ class CharacterizationService:
                 "holding": sum(1 for o in observations if o.holds),
             }
         )
-        with self._lock:
-            self._derived[cache_key] = response
+        self._derived_put(cache_key, response)
         return response
 
     def _dashboard(self, correlation_id: str | None = None) -> _Response:
@@ -913,8 +935,7 @@ class CharacterizationService:
 
         entry, etag = self._ensure_suite(correlation_id)
         cache_key = ("dashboard", etag)
-        with self._lock:
-            cached = self._derived.get(cache_key)
+        cached = self._derived_get(cache_key)
         if cached is not None:
             return cached
 
@@ -964,8 +985,7 @@ class CharacterizationService:
             etag=hashlib.sha256(html.encode("utf-8")).hexdigest()[:32],
             content_type=_HTML,
         )
-        with self._lock:
-            self._derived[cache_key] = response
+        self._derived_put(cache_key, response)
         return response
 
 

@@ -16,8 +16,8 @@ Layers, bottom up:
   tie-breaking and nested budget prefixes.
 - :mod:`repro.subset.adaptive` — re-selection as characterizations
   land, with measured-cost history reuse and incremental PCA scoring.
-- :mod:`repro.subset.evaluate` — the budget-sweep harness backing
-  ``tools/bench_subset.py`` and the CI gate.
+- :mod:`repro.subset.evaluate` — the budget-sweep harness behind the
+  CI gate (``tests/subset/test_evaluate.py``).
 """
 
 from repro.subset.adaptive import AdaptiveSelection, AdaptiveSubsetter

@@ -15,8 +15,9 @@ baselines at the *same* budget:
 The harness also re-runs the selection from scratch and checks the two
 subsets are bit-identical — the determinism half of the CI gate.
 
-Everything returned is JSON-safe; ``tools/bench_subset.py`` writes it to
-``BENCH_subset.json`` and ``--check`` asserts the gates.
+Everything returned is JSON-safe; the slow test
+``tests/subset/test_evaluate.py::test_gates_hold_on_a_real_timeline_suite``
+asserts the gates on a real suite.
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@ and the :class:`CoherenceDirectory` methods — and the MLP integral is
 counted tick by tick with a heap.  Nothing here is fast; all of it should
 be obviously right.
 
-The equivalence tests (``test_batch_equivalence.py``) and
-``tools/bench_speed.py`` assert that the shipping engine matches this
-oracle bit for bit: raw-event totals and the final RNG state.
+The equivalence tests (``test_batch_equivalence.py``) assert that the
+shipping engine matches this oracle bit for bit: raw-event totals and
+the final RNG state.
 """
 
 from __future__ import annotations

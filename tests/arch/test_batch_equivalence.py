@@ -5,8 +5,7 @@ The shipping engine (:mod:`repro.arch.batch` feeding
 reference loop in :mod:`tests.arch.reference_engine`, which draws each
 window as it runs: identical raw-event totals *and* an identical final
 RNG state, for any seed, any window count, under fault plans and with
-timeline sampling on.  These tests pin that invariant; the
-``bench_speed --check`` gate re-verifies it on every CI run.
+timeline sampling on.  These tests pin that invariant.
 """
 
 import numpy as np

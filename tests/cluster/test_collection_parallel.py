@@ -6,6 +6,8 @@ row order.  The cache key must distinguish *which* workloads were
 collected, not just how many.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,15 @@ from repro.cluster.collection import (
     characterize_suite,
 )
 from repro.cluster.testbed import MeasurementConfig
+from repro.obs.stats import Stopwatch
 from repro.workloads import workload_by_name
 from repro.workloads.suite import SUITE
 
 TINY = MeasurementConfig(slaves_measured=1, active_cores=2, ops_per_core=1200)
+
+#: Floor on the 2-worker pool's speedup over serial collection, on a
+#: host with at least 2 usable CPUs.
+PARALLEL_SPEEDUP_FLOOR = 1.2
 
 
 @pytest.fixture(autouse=True)
@@ -82,4 +89,36 @@ def test_workloads_digest_distinguishes_subsets():
     # Order matters: the matrix rows follow suite order.
     assert _workloads_digest(tuple(reversed(SUITE[:4]))) != _workloads_digest(
         SUITE[:4]
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2,
+    reason="a pool speedup needs at least 2 usable CPUs",
+)
+def test_pool_speedup_floor_at_two_workers():
+    """Two pool workers on two cores must beat serial collection, with
+    both legs timed cold in the same run."""
+    config = CollectionConfig(
+        scale=0.5,
+        seed=42,
+        measurement=MeasurementConfig(
+            slaves_measured=1, active_cores=3, ops_per_core=4000
+        ),
+    )
+    seconds = {}
+    matrices = {}
+    for workers in (1, 2):
+        collection._MEMO.clear()
+        with Stopwatch() as sw:
+            suite = characterize_suite(SUITE[:2], config, workers=workers)
+        seconds[workers] = sw.seconds
+        matrices[workers] = suite.matrix
+    assert matrices[2].workloads == matrices[1].workloads
+    assert np.array_equal(matrices[2].values, matrices[1].values)
+    speedup = seconds[1] / seconds[2]
+    assert speedup >= PARALLEL_SPEEDUP_FLOOR, (
+        f"serial {seconds[1]:.2f}s, 2 workers {seconds[2]:.2f}s: "
+        f"{speedup:.2f}x"
     )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.obs.stats import Stopwatch, best_of, percentile, summarize
+from repro.obs.stats import Stopwatch, best_of, percentile
 
 
 class TestStopwatch:
@@ -53,17 +53,3 @@ class TestPercentile:
     def test_q_out_of_range_raises(self):
         with pytest.raises(ValueError):
             percentile([1.0], 1.5)
-
-
-class TestSummarize:
-    def test_keys_and_values(self):
-        summary = summarize([1.0, 2.0, 3.0, 4.0], unit="ms")
-        assert summary["count"] == 4
-        assert summary["unit"] == "ms"
-        assert summary["min"] == 1.0
-        assert summary["max"] == 4.0
-        assert summary["mean"] == 2.5
-        assert summary["p50"] == 2.5
-
-    def test_empty_sample(self):
-        assert summarize([]) == {"count": 0, "unit": "s"}

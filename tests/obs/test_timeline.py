@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster.testbed import Cluster, MeasurementConfig
 from repro.errors import AnalysisError, ConfigurationError
+from repro.obs.stats import best_of
 from repro.obs.timeline import (
     TimelineConfig,
     TimelineSampler,
@@ -17,8 +18,13 @@ from repro.obs.timeline import (
     timeline_sampling,
 )
 from repro.workloads import RunContext, workload_by_name
+from repro.workloads.suite import SUITE
 
 FAST = MeasurementConfig(slaves_measured=1, active_cores=2, ops_per_core=1500)
+
+#: Acceptance bar: sampling (interval sampler on) must cost less than
+#: this share of an unsampled characterization.
+TIMELINE_OVERHEAD_BUDGET_PCT = 5.0
 
 
 def _characterize(name="S-Grep", timeline=None, seed=5):
@@ -208,6 +214,40 @@ class TestEndToEnd:
         assert sampled.per_slave == plain.per_slave
         assert plain.timeline is None
         assert sampled.timeline is not None
+
+    @pytest.mark.slow
+    def test_sampling_overhead_within_budget(self):
+        workload = SUITE[0]
+        context = RunContext(scale=0.3, seed=42)
+        measurement = MeasurementConfig(
+            slaves_measured=1, active_cores=3, ops_per_core=2000
+        )
+        config = TimelineConfig(interval_ms=5.0)
+
+        def characterize(timeline=None):
+            return Cluster().characterize_workload(
+                workload, context, measurement, timeline=timeline
+            )
+
+        plain = characterize()
+        sampled = characterize(config)
+        assert sampled.metrics == plain.metrics
+        assert sampled.per_slave == plain.per_slave
+
+        # Each run is short (~0.5s) and shared hosts jitter +-20%, more
+        # than the budget, so off/on are timed in interleaved pairs (both
+        # legs see the same host weather) and the overhead is the
+        # cleanest pair's ratio, the paired analogue of ``best_of``.
+        pairs = [
+            (best_of(characterize, 1), best_of(lambda: characterize(config), 1))
+            for _ in range(2)
+        ]
+        off_s, on_s = min(pairs, key=lambda pair: pair[1] / pair[0])
+        overhead_pct = max(0.0, 100.0 * (on_s - off_s) / off_s)
+        assert overhead_pct < TIMELINE_OVERHEAD_BUDGET_PCT, (
+            f"sampled {on_s:.4f}s vs unsampled {off_s:.4f}s = "
+            f"{overhead_pct:.4f}% ({len(sampled.timeline)} samples)"
+        )
 
     def test_collected_series_reconciles_and_verifies(self):
         characterization = _characterize(

@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from repro.cluster.testbed import Cluster, MeasurementConfig
+from repro.obs.stats import best_of
 from repro.obs.trace import (
     _NULL_SPAN,
     Tracer,
@@ -12,6 +15,11 @@ from repro.obs.trace import (
     tracing,
 )
 from repro.workloads import RunContext, workload_by_name
+from repro.workloads.suite import SUITE
+
+#: Acceptance bar: disabled tracing must cost less than this share of
+#: the untraced run.
+TRACING_OVERHEAD_BUDGET_PCT = 2.0
 
 
 class TestTracer:
@@ -130,3 +138,34 @@ class TestBitIdentity:
         assert len(tracer) > 0
         assert traced.metrics == untraced.metrics
         assert traced.per_slave == untraced.per_slave
+
+
+@pytest.mark.slow
+def test_disabled_tracing_overhead_within_budget():
+    """The span sites are always compiled in, so their disabled cost
+    cannot be measured by diffing two runs of the same code: measure
+    one disabled span directly and project it onto the span count a
+    traced run of the same workload records."""
+    workload = SUITE[0]
+    context = RunContext(scale=0.3, seed=42)
+    workload.run(context)  # warm caches before timing
+    untraced_s = best_of(lambda: workload.run(context), 2)
+
+    tracer = Tracer()
+    with tracing(tracer):
+        workload.run(context)
+    spans_per_run = len(tracer)
+
+    calls = 50_000
+
+    def hammer() -> None:
+        for _ in range(calls):
+            with span("bench-noop", "bench", worker=0):
+                pass
+
+    noop_span_s = best_of(hammer, 3) / calls
+    overhead_pct = 100.0 * (spans_per_run * noop_span_s) / untraced_s
+    assert overhead_pct < TRACING_OVERHEAD_BUDGET_PCT, (
+        f"{noop_span_s * 1e9:.1f}ns per disabled span x {spans_per_run} "
+        f"spans = {overhead_pct:.4f}% of the {untraced_s:.4f}s untraced run"
+    )

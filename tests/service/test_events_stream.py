@@ -19,6 +19,7 @@ import pytest
 
 from repro.cluster.collection import CollectionConfig
 from repro.cluster.testbed import MeasurementConfig
+from repro.durable import write_json
 from repro.errors import ServiceError
 from repro.obs.timeline import TimelineConfig
 from repro.service.client import CORRELATION_HEADER, ServiceClient
@@ -135,6 +136,41 @@ class TestEventStream:
             job_id = client.jobs()[0]["id"]
         final = client.wait_for_job(job_id, timeout=120)
         assert final["state"] == "done"
+
+    def test_timeout_must_be_finite_and_is_clamped(self, tmp_path):
+        """A job whose owning sibling died stays "running" in its shared
+        snapshot; its stream must still end by ``request_timeout_s``."""
+        config = ServiceConfig(
+            collection=FAST,
+            workloads=SUITE[:1],
+            cache_dir=str(tmp_path),
+            request_timeout_s=0.5,
+        )
+        instance = serve(config, port=0)
+        threading.Thread(target=instance.serve_forever, daemon=True).start()
+        port = instance.server_address[1]
+        job_id = "job-dead-000001"
+        write_json(
+            instance.service.jobs.shared_dir / f"{job_id}.json",
+            {"id": job_id, "state": "running", "events": [{"event": "queued"}]},
+        )
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            for bad in ("nan", "inf", "-inf"):
+                connection.request("GET", f"/jobs/{job_id}/events?timeout={bad}")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 400, bad
+            connection.close()
+            connection.request("GET", f"/jobs/{job_id}/events?timeout=1e9")
+            response = connection.getresponse()
+            assert response.status == 200
+            body = response.read().decode()  # ends, or times out the test
+            assert body.endswith("event: stream-timeout\ndata: {}\n\n")
+        finally:
+            connection.close()
+            instance.shutdown()
+            instance.service.close()
 
     def test_dashboard_served_self_contained(self, server):
         _, port = server

@@ -28,7 +28,7 @@ from repro.cluster.collection import (
 )
 from repro.cluster.testbed import MeasurementConfig
 from repro.metrics.catalog import METRIC_NAMES
-from repro.service.server import ServiceConfig, serve
+from repro.service.server import _DERIVED_CAPACITY, ServiceConfig, serve
 from repro.workloads.suite import SUITE
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -243,6 +243,26 @@ class TestSubsetBudget:
         assert first[2] == second[2]
         payload = json.loads(first[2])
         assert 0 < payload["n_selected"] <= payload["n_pool"]
+
+    def test_derived_cache_is_bounded(self, server):
+        """Each distinct budget is a cache key: 1,000 of them must leave
+        at most the cap, and a superseded suite etag's entries go."""
+        service = server[0].service
+        status, _, body = _get(server[1], "/subset?budget=1e9")
+        total = json.loads(body)["total_pool_cost_s"]
+
+        def subset(budget: float):
+            return service.handle_get("/subset", {"budget": [repr(budget)]})
+
+        repeated = subset(total / 2)
+        assert subset(total / 2) is repeated
+        for i in range(1000):
+            subset(total * (0.5 + i / 2000))
+        assert len(service._derived) <= _DERIVED_CAPACITY
+        assert subset(total * 0.9995) is subset(total * 0.9995)
+
+        service._derived_put(("matrix", "next-etag"), repeated)
+        assert list(service._derived) == [("matrix", "next-etag")]
 
     def test_bad_budget_is_400(self, server):
         for bad in ("-5", "abc", "0", "nan", "inf"):

@@ -1,5 +1,6 @@
 """End-to-end tests for the pre-fork multi-worker service plane."""
 
+import http.client
 import json
 import logging
 import os
@@ -15,6 +16,7 @@ import pytest
 from repro.cluster.collection import CollectionConfig
 from repro.cluster.testbed import MeasurementConfig
 from repro.errors import ServiceError
+from repro.obs.stats import Stopwatch
 from repro.service.claims import ClaimRegistry
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceConfig
@@ -225,3 +227,82 @@ def test_shutdown_after_fresh_connections_is_prompt(tmp_path):
         logger.setLevel(level)
     assert elapsed < 3.0
     assert not [m for m in collect.messages if "unresponsive" in m]
+
+
+#: Warm ``/suite/matrix`` floor for 2 pre-fork workers on >= 2 CPUs.
+WARM_MATRIX_FLOOR_RPS = 2000.0
+
+
+def _keepalive_rps(host: str, port: int, path: str, clients: int, requests: int):
+    """Closed-loop throughput of ``clients`` threads, each holding ONE
+    keep-alive connection and firing its next GET the moment the
+    previous response is read, so no TCP handshake is measured."""
+    per_client = max(1, requests // clients)
+    barrier = threading.Barrier(clients + 1)
+    errors: list[str] = []
+
+    def client() -> None:
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            conn.request("GET", path)  # prime the connection
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200, response.status
+            barrier.wait()
+            for _ in range(per_client):
+                conn.request("GET", path)
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200, response.status
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(f"{type(exc).__name__}: {exc}")
+            barrier.abort()
+        finally:
+            conn.close()
+
+    threads = [threading.Thread(target=client) for _ in range(clients)]
+    for thread in threads:
+        thread.start()
+    try:
+        barrier.wait()
+    except threading.BrokenBarrierError:
+        pass
+    with Stopwatch() as sw:
+        for thread in threads:
+            thread.join(120.0)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors[:3]
+    return per_client * clients / sw.seconds
+
+
+@pytest.mark.slow
+def test_warm_matrix_throughput_floor_with_two_workers(tmp_path):
+    """Two pre-fork workers serve the warm matrix at >= 2k req/s over 8
+    keep-alive clients, and the cold fill through them ran each
+    characterization exactly once."""
+    config = ServiceConfig(
+        collection=CollectionConfig(
+            scale=0.3,
+            seed=42,
+            measurement=MeasurementConfig(
+                slaves_measured=1, active_cores=2, ops_per_core=1200
+            ),
+        ),
+        workloads=SUITE[:2],
+        workers=2,
+        cache_dir=str(tmp_path / "store"),
+    )
+    # Fork before any client thread exists.
+    with Supervisor(config, port=0, workers=2) as sup:
+        client = ServiceClient(f"http://{sup.host}:{sup.port}")
+        jobs = [client.characterize(w.name, wait=False) for w in SUITE[:2]]
+        for snapshot in jobs:
+            if snapshot.get("id"):  # a cached result carries no job
+                final = client.wait_for_job(snapshot["id"], timeout=1800.0)
+                assert final["state"] == "done"
+        client.matrix()  # assemble the suite entry from the store
+        rps = _keepalive_rps(sup.host, sup.port, "/suite/matrix", 8, 400)
+    assert ClaimRegistry(config.cache_dir).duplicate_runs() == {}
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip(f"{rps:.0f} req/s; 2 workers need 2 usable CPUs")
+    assert rps >= WARM_MATRIX_FLOOR_RPS, f"{rps:.0f} req/s"

@@ -7,11 +7,20 @@ UTF-8.  None may raise, and each must read as "nothing there".  The
 result store's index is the deliberate exception: an index that is
 unreadable for a reason other than absence or tearing must raise, or
 the next ``put`` would rewrite ``index.json`` holding one entry.
+
+A telemetry file whose ``written_s`` or ``ttl_s`` is not a number reads
+like a torn one too: it ages by its mtime instead of raising.
 """
+
+import json
+import os
+import socket
+import time
 
 import pytest
 
 from repro.obs.fleet import (
+    TTL_S,
     current_request,
     load_profile_doc,
     load_shard,
@@ -20,6 +29,7 @@ from repro.obs.fleet import (
     telemetry_dir,
 )
 from repro.obs.ledger import load_history
+from repro.obs.prof import PROFILE_SCHEMA
 from repro.service.claims import ClaimRegistry
 from repro.service.jobs import JobManager
 from repro.service.store import ResultStore
@@ -96,3 +106,50 @@ def test_every_reader_treats_a_damaged_file_as_absent(tmp_path):
         store.keys()
     with pytest.raises(OSError):
         store.put("j", {"kind": "x"})
+
+
+#: Stamps a foreign or buggy writer can leave where a number belongs.
+BAD_STAMPS = {"string": "soon", "null": None, "list": [1, 2]}
+
+
+def _telemetry_record(kind: str) -> dict:
+    """A well-formed, freshly stamped file of one telemetry kind."""
+    stamps = {"written_s": time.time(), "ttl_s": TTL_S}
+    if kind == "metrics":
+        return {
+            "schema": 1,
+            "instance": "server-a",
+            "pid": os.getpid(),
+            "host": socket.gethostname(),
+            "metrics": {},
+            **stamps,
+        }
+    if kind == "traces":
+        return {"traceEvents": [], "otherData": stamps}
+    return {
+        "schema": PROFILE_SCHEMA,
+        "kind": "cpu-profile",
+        "samples": 0,
+        "stacks": [],
+        **stamps,
+    }
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_STAMPS))
+@pytest.mark.parametrize("field", ["written_s", "ttl_s"])
+@pytest.mark.parametrize("kind", ["metrics", "traces", "profiles"])
+def test_non_numeric_stamp_ages_by_mtime(tmp_path, kind, field, bad):
+    record = _telemetry_record(kind)
+    stamps = record["otherData"] if kind == "traces" else record
+    stamps[field] = BAD_STAMPS[bad]
+    path = telemetry_dir(tmp_path, kind) / "server-a-101.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps(record))
+
+    read_live(tmp_path, kind)  # must not raise
+    assert path.exists()  # a fresh mtime: the writer may be mid-rewrite
+
+    old = time.time() - 2 * TTL_S
+    os.utime(path, (old, old))
+    assert read_live(tmp_path, kind) == []
+    assert not path.exists()

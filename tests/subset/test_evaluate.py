@@ -7,9 +7,14 @@ import json
 import numpy as np
 import pytest
 
+from repro.cluster import CollectionConfig, MeasurementConfig, characterize_suite
+from repro.core.pca import fit_pca
+from repro.core.subsetting import subset_workloads
 from repro.errors import SubsetError
-from repro.subset.cost import WorkloadCost
+from repro.obs.timeline import TimelineConfig
+from repro.subset.cost import WorkloadCost, estimate_costs
 from repro.subset.evaluate import DEFAULT_FRACTIONS, evaluate_sweep
+from repro.workloads import SUITE
 
 
 def _pool(rng, n=16):
@@ -98,3 +103,37 @@ class TestEvaluateSweep:
         points, labels, costs = _pool(rng)
         result = evaluate_sweep(points, labels, costs, n_random=5)
         assert result["n_random"] == 5
+
+
+@pytest.mark.slow
+def test_gates_hold_on_a_real_timeline_suite():
+    """On ten real workloads with measured costs, the budgeted selection
+    beats the random mean at every budget, matches or beats Table V's
+    farthest-from-centroid at equal cost, and the sweep is
+    deterministic."""
+    config = CollectionConfig(
+        scale=0.2,
+        seed=7,
+        measurement=MeasurementConfig(
+            slaves_measured=1, active_cores=2, ops_per_core=1200
+        ),
+        timeline=TimelineConfig(interval_ms=2.0),
+    )
+    suite = characterize_suite(SUITE[:10], config)
+    costs = estimate_costs(suite.characterizations)
+    assert any(cost.measured for cost in costs), "no measured costs"
+    farthest = sorted(
+        subset_workloads(suite.matrix, seed=0).farthest,
+        key=lambda rep: (-rep.cluster_size, rep.workload),
+    )
+    summary = evaluate_sweep(
+        fit_pca(suite.matrix.values).scores,
+        suite.matrix.workloads,
+        costs,
+        n_random=20,
+        seed=0,
+        ffc_order=tuple(rep.workload for rep in farthest),
+    )["summary"]
+    assert summary["all_dominate_random"]
+    assert summary["all_match_ffc"]
+    assert summary["deterministic"]

@@ -1,27 +1,16 @@
-"""Inspect the perf-regression ledger and validate profile documents.
+"""Validate a saved CPU-profile document.
 
 Usage::
-
-    # Explain the ledger: diff each bench's latest record against its
-    # last passing baseline; exit 1 if any latest record is a failure.
-    python tools/check_perf_history.py
-    python tools/check_perf_history.py --bench speed --diff
 
     # Validate a merged fleet profile document (CI's profiling gate):
     python tools/check_perf_history.py --validate profile.json \\
         --min-samples 200 --min-span-fraction 0.9
 
-History mode reads ``benchmarks/history.jsonl`` (see
-:mod:`repro.obs.ledger`): for every bench present it reports the latest
-record, and when that record failed its gate it prints the headline
-deltas plus the **top regressed span paths and frames** versus the most
-recent passing baseline — the ledger's whole point.  ``--diff`` prints
-the comparison even for passing records.
-
-Validate mode runs :func:`repro.obs.prof.validate_profile` over a saved
-profile document: structural checks (schema, stack counts summing to
-the sample total) plus the statistical floors CI enforces (minimum
-samples, minimum busy-sample span attribution).
+Runs :func:`repro.obs.prof.validate_profile` over the document:
+structural checks (schema, stack counts summing to the sample total)
+plus the statistical floors CI enforces (minimum samples, minimum
+busy-sample span attribution).  Comparing benchmark runs is
+``perfbench/run.py --compare``'s job.
 """
 
 from __future__ import annotations
@@ -34,16 +23,25 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.obs.ledger import (  # noqa: E402
-    baseline_for,
-    diff_records,
-    format_diff,
-    load_history,
-)
 from repro.obs.prof import attribution, validate_profile  # noqa: E402
 
 
-def _validate(args: argparse.Namespace) -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--validate", required=True, metavar="PROFILE_JSON",
+        help="the merged profile document to validate",
+    )
+    parser.add_argument(
+        "--min-samples", type=int, default=1, metavar="N",
+        help="validation floor on total samples (default: %(default)s)",
+    )
+    parser.add_argument(
+        "--min-span-fraction", type=float, default=None, metavar="F",
+        help="validation floor on the busy-sample span-attribution "
+        "fraction, e.g. 0.9",
+    )
+    args = parser.parse_args(argv)
     try:
         with open(args.validate, encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -70,82 +68,6 @@ def _validate(args: argparse.Namespace) -> int:
         return 1
     print("profile valid")
     return 0
-
-
-def _history(args: argparse.Namespace) -> int:
-    history = load_history(args.history)
-    if not history:
-        print(f"no ledger records in {args.history}")
-        # An empty ledger is only an error when a specific bench was
-        # expected to have reported.
-        return 1 if args.bench else 0
-    benches = (
-        [args.bench]
-        if args.bench
-        else sorted({record["bench"] for record in history})
-    )
-    exit_code = 0
-    for bench in benches:
-        records = [r for r in history if r.get("bench") == bench]
-        if not records:
-            print(f"{bench}: no records", file=sys.stderr)
-            exit_code = 1
-            continue
-        latest = records[-1]
-        failed = latest.get("status") == "fail"
-        print(
-            f"{bench}: {len(records)} record(s); latest "
-            f"{latest.get('status')} on {latest.get('env', {}).get('host')}"
-        )
-        for failure in latest.get("failures", ()):
-            print(f"  gate failure: {failure}")
-        if failed or args.diff:
-            baseline = baseline_for(history, latest)
-            if baseline is None:
-                print("  no passing baseline to diff against")
-            else:
-                print(format_diff(diff_records(baseline, latest, top=args.top)))
-        if failed:
-            exit_code = 1
-    return exit_code
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--history",
-        default=str(REPO_ROOT / "benchmarks" / "history.jsonl"),
-        help="ledger path (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--bench", default=None, help="inspect only this benchmark's records"
-    )
-    parser.add_argument(
-        "--diff",
-        action="store_true",
-        help="print the baseline comparison even for passing records",
-    )
-    parser.add_argument(
-        "--top", type=int, default=5, metavar="N",
-        help="regressed spans/frames to name per diff (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--validate", default=None, metavar="PROFILE_JSON",
-        help="validate a merged profile document instead of reading history",
-    )
-    parser.add_argument(
-        "--min-samples", type=int, default=1, metavar="N",
-        help="validation floor on total samples (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--min-span-fraction", type=float, default=None, metavar="F",
-        help="validation floor on the busy-sample span-attribution "
-        "fraction, e.g. 0.9",
-    )
-    args = parser.parse_args(argv)
-    if args.validate is not None:
-        return _validate(args)
-    return _history(args)
 
 
 if __name__ == "__main__":
