@@ -10,8 +10,10 @@ instrumentation layer synthesises from engine activity.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import setitem
 from typing import NamedTuple
 
 from repro.errors import ConfigurationError
@@ -25,6 +27,10 @@ __all__ = [
 ]
 
 LINE_SHIFT = 6  # 64-byte lines throughout the hierarchy (Table III)
+
+#: A set's free ways after one more line lands in it (byte ``r`` maps to
+#: ``r - 1``; a full set stays full).
+_TAKE_WAY = bytes([0, *range(255)])
 
 
 def _is_power_of_two(value: int) -> bool:
@@ -192,63 +198,57 @@ class SetAssociativeCache:
             cache_set.popitem(last=False)
         cache_set[line_addr] = False
 
-    def install_span(self, first_line: int, count: int) -> None:
-        """Install ``count`` lines ending at ``first_line`` (coldest first).
+    def fill(self, spans: list[tuple[int, int]]) -> None:
+        """Install each ``(first_line, count)`` span in turn, coldest first.
 
-        Equivalent to ``install_line(first_line + offset)`` for ``offset``
-        descending from ``count - 1`` to 0, with the per-line call overhead
-        hoisted out — pre-warming installs hundreds of thousands of lines.
+        Ends in the state of ``install_line(first_line + offset)`` for
+        ``offset`` from ``count - 1`` down to 0, span after span: the
+        pre-warm protocol, hundreds of thousands of lines.  Pre-warming
+        fills an empty cache from disjoint spans, and then each set simply
+        ends with the last ``assoc`` lines installed into it, clean, in
+        install order, so only those lines are written.  A cache that
+        already holds lines, overlapping spans, or more than 255 ways (the
+        per-set way counters are bytes) take the per-line path.
         """
         sets = self._sets
-        mask = self._set_mask
         num_sets = self._num_sets
-        assoc = self._assoc
-        capacity = num_sets * assoc
-        if count >= 4 * capacity:
-            # A span this large wipes the cache: each set sees >= 4x its
-            # associativity in distinct installs, so every pre-existing
-            # line (and every span line present before its own install)
-            # is evicted before the final window lands.  The end state is
-            # therefore exactly the last ``capacity`` installed lines —
-            # the lowest ones, since installs run coldest-first — all
-            # clean, in install order.  Rebuild that state directly
-            # instead of touching millions of lines (evictions here are
-            # silent by install_line semantics, so no stats are owed).
-            for cache_set in sets:
-                cache_set.clear()
-            for line in range(first_line + capacity - 1, first_line - 1, -1):
-                sets[line & mask if mask else line % num_sets][line] = False
+        ordered = sorted(spans)
+        if self._assoc > 255 or any(sets) or any(
+            first + count > next_first
+            for (first, count), (next_first, _) in zip(ordered, ordered[1:])
+        ):
+            for first_line, count in spans:
+                for line in range(first_line + count - 1, first_line - 1, -1):
+                    self.install_line(line)
             return
-        if count >= num_sets:
-            # Wide span: visit each set once and walk its arithmetic
-            # subsequence of lines directly, hoisting the set lookup out
-            # of the per-line loop.  install_line effects are confined
-            # to the line's own set (silent evictions, no stats), so
-            # reordering installs *across* sets — while keeping each
-            # set's installs in original descending order — leaves the
-            # final state bit-identical.  (Contiguous lines hit set
-            # ``line % num_sets`` whether the cache indexes by mask or
-            # by modulo, so one grouping works for both.)
-            hi = first_line + count - 1
-            for index in range(num_sets):
-                top = hi - ((hi - index) % num_sets)
-                cache_set = sets[index]
-                for line in range(top, first_line - 1, -num_sets):
-                    if line in cache_set:
-                        cache_set.move_to_end(line)
-                    else:
-                        if len(cache_set) >= assoc:
-                            cache_set.popitem(last=False)
-                        cache_set[line] = False
-            return
-        for line in range(first_line + count - 1, first_line - 1, -1):
-            cache_set = sets[line & mask if mask else line % num_sets]
-            if line in cache_set:
-                cache_set.move_to_end(line)
-                continue
-            if len(cache_set) >= assoc:
-                cache_set.popitem(last=False)
-            cache_set[line] = False
+        # Walk the lines hottest first (spans last to first, each upward
+        # from its first line) in blocks that never wrap past the last
+        # set, so a block's lines land in distinct, consecutive sets under
+        # mask and modulo indexing alike.  A line survives iff its set
+        # still has a free way when the walk reaches it; a span's lines
+        # past its first ``capacity`` never do.
+        free = bytearray([self._assoc]) * num_sets
+        capacity = num_sets * self._assoc
+        blocks = []
+        for first_line, count in reversed(spans):
+            low, end = first_line, first_line + min(count, capacity)
+            while low < end:
+                index = low % num_sets
+                high = min(end, low - index + num_sets)
+                stop = index + high - low
+                ways = free[index:stop]
+                if ways.count(0) < len(ways):
+                    free[index:stop] = ways.translate(_TAKE_WAY)
+                    lines, targets = range(low, high), sets[index:stop]
+                    if 0 in ways:
+                        lines = compress(lines, ways)
+                        targets = list(compress(targets, ways))
+                    blocks.append((targets, lines))
+                low = high
+        # Each set receives at most one line per block, so writing the
+        # blocks coldest first reproduces every set's install order.
+        for targets, lines in reversed(blocks):
+            deque(map(setitem, targets, lines, repeat(False)), maxlen=0)
 
     def line_resident(self, line_addr: int) -> bool:
         """Whether line-aligned address ``line_addr`` is resident."""

@@ -136,7 +136,27 @@ class CoreModel:
         private_budget_lines: int | None = None,
         install_shared_and_code: bool = True,
     ) -> None:
-        """Install the expected steady-state resident set before sampling.
+        """Install this core's steady-state resident set before sampling,
+        filling each cache once from its :meth:`prewarm_spans` list.
+
+        ``Processor.start_workload`` instead gathers the spans of every
+        active core first, so the shared L3 is filled once, too.
+        """
+        spans = self.prewarm_spans(
+            profile, private_budget_lines, install_shared_and_code
+        )
+        for cache, cache_spans in spans.items():
+            cache.fill(cache_spans)
+
+    def prewarm_spans(
+        self,
+        profile: PhaseProfile,
+        private_budget_lines: int | None = None,
+        install_shared_and_code: bool = True,
+    ) -> dict[SetAssociativeCache, list[tuple[int, int]]]:
+        """The ``(first_line, count)`` spans that pre-warm each cache, in
+        install order (each span is installed coldest first, highest line
+        first, by :meth:`SetAssociativeCache.fill`).
 
         A few thousand sampled operations cannot touch a multi-megabyte
         working set even once, so without pre-warming every first touch
@@ -150,20 +170,23 @@ class CoreModel:
         * the warm-tier head into the L2 and the warm tier into the L3
           (up to ``private_budget_lines`` — the driver divides the L3
           between sibling cores so pre-warming cannot thrash itself),
+        * the hot code head into the L1I and the L2,
         * the shared warm tier and the hot code head into the shared L3
           (once per socket: ``install_shared_and_code``).
+
+        Every region has its own address range, so the spans of one
+        cache never overlap.
 
         Args:
             profile: The phase (or union-of-phases) footprint to warm.
             private_budget_lines: L3 lines this core may fill with its
                 private warm tier (default: the full warm tier).
-            install_shared_and_code: Install the node-shared regions too;
+            install_shared_and_code: Include the node-shared regions;
                 the driver enables this for one core only.
         """
         private_base = trace_mod.PRIVATE_DATA_BASE + self.core_id * trace_mod.PRIVATE_DATA_STRIDE
         hot_lines = trace_mod.HOT_REGION_BYTES >> LINE_SHIFT
         hot_first = private_base >> LINE_SHIFT
-        self.l1d.install_span(hot_first, hot_lines)
 
         warm_bytes = min(trace_mod.WARM_REGION_BYTES, profile.data_working_set)
         warm_first = (private_base + trace_mod.HOT_REGION_BYTES) >> LINE_SHIFT
@@ -171,8 +194,6 @@ class CoreModel:
         if private_budget_lines is not None:
             warm_lines = min(warm_lines, max(1, private_budget_lines))
         l2_head = min(warm_lines, (self.l2.config.size // 2) >> LINE_SHIFT)
-        self.l3.install_span(warm_first, warm_lines)
-        self.l2.install_span(warm_first, l2_head)
 
         # The private L1I / L2 hold this core's hot code head regardless
         # of who warms the shared L3.
@@ -180,20 +201,22 @@ class CoreModel:
         code_lines = max(4, min(profile.code_footprint, 3 << 20) >> LINE_SHIFT)
         l1i_head = min(code_lines, self.l1i.config.size >> LINE_SHIFT)
         l2_code_head = min(code_lines, (self.l2.config.size // 2) >> LINE_SHIFT)
-        self.l2.install_span(code_first, l2_code_head)
-        self.l1i.install_span(code_first, l1i_head)
 
-        if not install_shared_and_code:
-            return
-
-        if profile.shared_fraction > 0:
-            shared_bytes = min(
-                trace_mod.SHARED_WARM_BYTES // 2, profile.shared_working_set
-            )
-            shared_first = trace_mod.SHARED_DATA_BASE >> LINE_SHIFT
-            self.l3.install_span(shared_first, max(1, shared_bytes >> LINE_SHIFT))
-
-        self.l3.install_span(code_first, code_lines)
+        l3_spans = [(warm_first, warm_lines)]
+        if install_shared_and_code:
+            if profile.shared_fraction > 0:
+                shared_bytes = min(
+                    trace_mod.SHARED_WARM_BYTES // 2, profile.shared_working_set
+                )
+                shared_first = trace_mod.SHARED_DATA_BASE >> LINE_SHIFT
+                l3_spans.append((shared_first, max(1, shared_bytes >> LINE_SHIFT)))
+            l3_spans.append((code_first, code_lines))
+        return {
+            self.l1d: [(hot_first, hot_lines)],
+            self.l3: l3_spans,
+            self.l2: [(warm_first, l2_head), (code_first, l2_code_head)],
+            self.l1i: [(code_first, l1i_head)],
+        }
 
     def run_compact(self, sample, discard: bool = False) -> SampleCounts:
         """Simulate one :class:`~repro.arch.batch.CompactSample`.

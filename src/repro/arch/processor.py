@@ -327,8 +327,18 @@ class Processor:
         self, profiles: list[PhaseProfile], active_cores: int
     ) -> None:
         """Flush all state, then pre-warm the active cores once with the
-        union footprint of ``profiles`` (the L3 divided between them)."""
+        union footprint of ``profiles``: each now-empty cache is filled
+        once from its :meth:`prewarm_spans` list."""
         self.reset()
+        for cache, spans in self.prewarm_spans(profiles, active_cores).items():
+            cache.fill(spans)
+
+    def prewarm_spans(
+        self, profiles: list[PhaseProfile], active_cores: int
+    ) -> dict[SetAssociativeCache, list[tuple[int, int]]]:
+        """Every cache's pre-warm spans for the union footprint of
+        ``profiles``, in install order: the active cores in turn, the L3
+        divided between them (see :meth:`CoreModel.prewarm_spans`)."""
         union = _union_footprint(profiles)
         l3_lines = self.config.l3_size // 64
         code_lines = min(max(4, union.code_footprint // 64), (3 << 20) // 64)
@@ -340,12 +350,16 @@ class Processor:
         private_budget = max(
             1024, (l3_lines - code_lines - shared_lines) // (active_cores + 1)
         )
+        spans: dict[SetAssociativeCache, list[tuple[int, int]]] = {}
         for index, core in enumerate(self.cores[:active_cores]):
-            core.prewarm(
+            core_spans = core.prewarm_spans(
                 union,
                 private_budget_lines=private_budget,
                 install_shared_and_code=(index == 0),
             )
+            for cache, cache_spans in core_spans.items():
+                spans.setdefault(cache, []).extend(cache_spans)
+        return spans
 
     def reset(self) -> None:
         """Flush all cores, the L3 and the coherence directory."""

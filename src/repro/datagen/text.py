@@ -12,6 +12,7 @@ head of frequent words (WordCount combiners work), rare-word tails
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,26 +36,37 @@ class LabeledDocument:
         return " ".join(self.words)
 
 
+@lru_cache(maxsize=16)
+def _words(size: int, seed: int) -> tuple[str, ...]:
+    rng = np.random.default_rng(seed)
+    words: list[str] = []
+    seen: set[str] = set()
+    while len(words) < size:
+        syllables = int(rng.integers(1, 4))
+        word = "".join(
+            _CONSONANTS[int(rng.integers(0, len(_CONSONANTS)))]
+            + _VOWELS[int(rng.integers(0, len(_VOWELS)))]
+            for _ in range(syllables)
+        )
+        if word not in seen:
+            seen.add(word)
+            words.append(word)
+    return tuple(words)
+
+
 class Vocabulary:
-    """A deterministic synthetic vocabulary of pronounceable words."""
+    """A deterministic synthetic vocabulary of pronounceable words.
+
+    The words are drawn one scalar at a time, once per process for each
+    ``(size, seed)``; every vocabulary of that shape shares the one
+    immutable tuple (every workload's ``Bdgs`` builds one from the same
+    collection seed).
+    """
 
     def __init__(self, size: int, seed: int = 7) -> None:
         if size <= 0:
             raise DataGenerationError("vocabulary size must be positive")
-        rng = np.random.default_rng(seed)
-        words: list[str] = []
-        seen: set[str] = set()
-        while len(words) < size:
-            syllables = int(rng.integers(1, 4))
-            word = "".join(
-                _CONSONANTS[int(rng.integers(0, len(_CONSONANTS)))]
-                + _VOWELS[int(rng.integers(0, len(_VOWELS)))]
-                for _ in range(syllables)
-            )
-            if word not in seen:
-                seen.add(word)
-                words.append(word)
-        self.words = tuple(words)
+        self.words = _words(size, seed)
 
     def __len__(self) -> int:
         return len(self.words)

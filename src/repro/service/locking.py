@@ -12,12 +12,7 @@ Why ``flock`` and not the lock file's mere existence:
   existence-based lock needs staleness heuristics; flock needs none.
 - **Blocking waits** — waiters sleep in the kernel instead of polling.
 
-On the rare platform without :mod:`fcntl` (Windows), the class degrades
-to an ``O_CREAT | O_EXCL`` spin lock with mtime-based staleness — the
-same protocol the claim registry uses for its (longer-lived, content-
-bearing) claim records.
-
-Both layers compose with an in-process :class:`threading.RLock`:
+The file lock composes with an in-process :class:`threading.RLock`:
 ``flock`` is per open-file-description, so two threads of one process
 sharing the store instance must serialize *before* touching the file
 lock (a second ``flock`` on the same fd would silently succeed).
@@ -26,24 +21,18 @@ lock (a second ``flock`` on the same fd would silently succeed).
 from __future__ import annotations
 
 import errno
+import fcntl
 import os
 import threading
 import time
 from pathlib import Path
 
-try:  # pragma: no cover - exercised indirectly on every Linux test run
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
-
 from repro.errors import StoreError
 
 __all__ = ["FileLock"]
 
-#: Fallback (no-fcntl) spin parameters: poll cadence and the age at
-#: which an orphaned lock file is presumed dead and broken.
+#: Poll cadence of a timed acquisition.
 _SPIN_INTERVAL_S = 0.002
-_STALE_FALLBACK_S = 30.0
 
 
 class FileLock:
@@ -92,10 +81,7 @@ class FileLock:
             self._depth += 1
             return
         try:
-            if fcntl is not None:
-                self._acquire_flock(timeout)
-            else:  # pragma: no cover - non-POSIX
-                self._acquire_spin(timeout)
+            self._acquire_flock(timeout)
         except BaseException:
             self._thread_lock.release()
             raise
@@ -107,10 +93,7 @@ class FileLock:
         self._depth -= 1
         if self._depth == 0:
             try:
-                if fcntl is not None:
-                    self._release_flock()
-                else:  # pragma: no cover - non-POSIX
-                    self._release_spin()
+                self._release_flock()
             finally:
                 self._thread_lock.release()
         else:
@@ -119,7 +102,7 @@ class FileLock:
     def locked_by_me(self) -> bool:
         return self._depth > 0
 
-    # -- flock backend --------------------------------------------------------
+    # -- flock ----------------------------------------------------------------
 
     def _acquire_flock(self, timeout: float | None) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -154,36 +137,3 @@ class FileLock:
                 fcntl.flock(fd, fcntl.LOCK_UN)
             finally:
                 os.close(fd)
-
-    # -- O_EXCL fallback backend ----------------------------------------------
-
-    def _acquire_spin(self, timeout: float | None) -> None:  # pragma: no cover
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            try:
-                fd = os.open(
-                    self.path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644
-                )
-                os.write(fd, str(os.getpid()).encode())
-                self._fd = fd
-                return
-            except FileExistsError:
-                try:
-                    age = time.time() - self.path.stat().st_mtime
-                    if age > _STALE_FALLBACK_S:
-                        self.path.unlink(missing_ok=True)
-                        continue
-                except OSError:
-                    continue  # holder released between open and stat
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise StoreError(
-                        f"timed out acquiring {self.path} after {timeout}s"
-                    ) from None
-                time.sleep(_SPIN_INTERVAL_S)
-
-    def _release_spin(self) -> None:  # pragma: no cover
-        fd, self._fd = self._fd, None
-        if fd is not None:
-            os.close(fd)
-        self.path.unlink(missing_ok=True)

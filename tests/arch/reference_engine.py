@@ -4,11 +4,13 @@ The shipping engine (:func:`repro.arch.batch.plan_workload` feeding
 :meth:`repro.arch.core_model.CoreModel.run_compact`) compacts each sample
 to the events that do work and runs them through one fused loop with
 every model's hot path inlined.  This module is the plain reading of the
-same model: every synthesised operation walks the hierarchy one at a time
-through each model's public API — :meth:`SetAssociativeCache.access`,
-:meth:`TlbHierarchy.translate`, :meth:`GsharePredictor.predict_and_update`
-and the :class:`CoherenceDirectory` methods — and the MLP integral is
-counted tick by tick with a heap.  Nothing here is fast; all of it should
+same model: the pre-warm installs one line at a time through
+:meth:`SetAssociativeCache.install_line`, every synthesised operation
+walks the hierarchy one at a time through each model's public API —
+:meth:`SetAssociativeCache.access`, :meth:`TlbHierarchy.translate`,
+:meth:`GsharePredictor.predict_and_update` and the
+:class:`CoherenceDirectory` methods — and the MLP integral is counted
+tick by tick with a heap.  Nothing here is fast; all of it should
 be obviously right.
 
 The equivalence tests (``test_batch_equivalence.py``) assert that the
@@ -22,7 +24,7 @@ import heapq
 
 import numpy as np
 
-from repro.arch.cache import CacheAccess
+from repro.arch.cache import CacheAccess, SetAssociativeCache
 from repro.arch.coherence import MesiState, SnoopResponse
 from repro.arch.core_model import (
     _MLP_SERVICE_L3,
@@ -47,7 +49,7 @@ from repro.arch.trace import (
 from repro.errors import ConfigurationError
 from repro.obs.timeline import current_timeline
 
-__all__ = ["run_sample", "run_workload"]
+__all__ = ["install_spans", "run_sample", "run_workload", "start_workload"]
 
 
 def _translate(tlb: TlbHierarchy, addr: int) -> tuple[bool, bool]:
@@ -278,6 +280,23 @@ def run_sample(
     return counts
 
 
+def install_spans(cache: SetAssociativeCache, spans) -> None:
+    """The per-line counterpart of :meth:`SetAssociativeCache.fill`."""
+    for first_line, count in spans:
+        for line in range(first_line + count - 1, first_line - 1, -1):
+            cache.install_line(line)
+
+
+def start_workload(
+    processor: Processor, profiles: list[PhaseProfile], active_cores: int
+) -> None:
+    """The per-line counterpart of :meth:`Processor.start_workload`: flush,
+    then install every pre-warm span one line at a time, coldest first."""
+    processor.reset()
+    for cache, spans in processor.prewarm_spans(profiles, active_cores).items():
+        install_spans(cache, spans)
+
+
 def run_workload(
     processor: Processor,
     profiles: list[PhaseProfile],
@@ -290,11 +309,12 @@ def run_workload(
 
     Same protocol — one union pre-warm, then per window each core's
     discarded warm-up sample followed by each core's measured sample —
-    but each window's ops are drawn from ``rng`` just before they run.
+    but the pre-warm installs line by line and each window's ops are
+    drawn from ``rng`` just before they run.
     """
     if not profiles:
         raise ConfigurationError("run_workload needs at least one phase profile")
-    processor.start_workload(profiles, active_cores)
+    start_workload(processor, profiles, active_cores)
     cores = processor.cores[:active_cores]
     warmup_ops = max(1, int(ops_per_core * warmup_fraction))
     sampler = current_timeline()

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.arch.cache import CacheAccess, CacheConfig, SetAssociativeCache
 from repro.errors import ConfigurationError
+from tests.arch.reference_engine import install_spans
 
 
 def small_cache(assoc: int = 2, sets: int = 4, line: int = 64) -> SetAssociativeCache:
@@ -179,14 +180,46 @@ class TestPackedProtocol:
         assert cache.line_resident(1)
         assert not cache.line_resident(0)
 
-    def test_install_span_equals_per_line_installs(self):
-        span_cache = small_cache(assoc=2, sets=4)
+    def test_fill_equals_per_line_installs(self):
+        fill_cache = small_cache(assoc=2, sets=4)
         line_cache = small_cache(assoc=2, sets=4)
-        span_cache.install_span(3, 20)
-        for offset in range(19, -1, -1):
-            line_cache.install_line(3 + offset)
-        assert span_cache._sets == line_cache._sets
-        assert span_cache.stats.accesses == 0
+        fill_cache.fill([(3, 20)])
+        install_spans(line_cache, [(3, 20)])
+        assert fill_cache._sets == line_cache._sets
+        assert fill_cache.stats.accesses == 0
+
+
+def set_states(cache: SetAssociativeCache) -> list:
+    """Every set's (line, dirty) pairs in LRU order."""
+    return [list(cache_set.items()) for cache_set in cache._sets]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    geometry=st.sampled_from([(1, 1), (2, 4), (4, 3), (8, 64), (16, 96)]),
+    spans=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=20_000),
+            st.integers(min_value=1, max_value=8_000),
+        ),
+        max_size=5,
+    ),
+    preinstalled=st.lists(st.integers(min_value=0, max_value=30_000), max_size=5),
+)
+def test_fill_matches_per_line_installs(geometry, spans, preinstalled):
+    """``fill`` ends in the per-line state — keys, LRU order and dirty
+    bits — for spans shorter than the set count, up to and past 4x the
+    capacity, overlapping or not, into an empty or a used cache, on mask-
+    and modulo-indexed geometries."""
+    assoc, sets = geometry
+    fill_cache = small_cache(assoc=assoc, sets=sets)
+    line_cache = small_cache(assoc=assoc, sets=sets)
+    for cache in (fill_cache, line_cache):
+        for line in preinstalled:
+            cache.access(line * 64, is_write=True)
+    fill_cache.fill(spans)
+    install_spans(line_cache, spans)
+    assert set_states(fill_cache) == set_states(line_cache)
 
 
 @settings(max_examples=50, deadline=None)

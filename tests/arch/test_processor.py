@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.arch.cache import SetAssociativeCache
 from repro.arch.processor import Processor, ProcessorConfig, events_from_sample
 from repro.arch.pipeline import CycleModel, SampleCounts
 from repro.arch.trace import InstructionMix, PhaseProfile
 from repro.errors import ConfigurationError
 from repro.metrics.derivation import REQUIRED_EVENTS
+from tests.arch import reference_engine
 
 MIX = InstructionMix(load=0.3, store=0.1, branch=0.15, int_alu=0.35)
 
@@ -100,6 +102,70 @@ class TestRunWorkload:
         processor.reset()
         assert processor.l3.resident_lines == 0
         assert processor.directory.tracked_lines == 0
+
+
+#: Footprints whose pre-warm spans are shorter than the L3's set count,
+#: between it and 4x the capacity (the L3 overflows at 4+ cores), and —
+#: on a 96-set, 16-way L3 — past 4x the capacity.
+FOOTPRINTS = {
+    "short": dict(data_working_set=100 * 64, code_footprint=64 * 64,
+                  shared_working_set=200 * 64),
+    "wide": dict(data_working_set=1 << 20, code_footprint=1 << 20,
+                 shared_working_set=2 << 20),
+    "full": dict(data_working_set=2 << 20, code_footprint=3 << 20,
+                 shared_working_set=8 << 20),
+}
+SMALL_L3 = ProcessorConfig(l3_size=96 * 1024, l3_associativity=16)
+
+
+def cache_states(processor: Processor, active_cores: int) -> list:
+    """Every set of every active core's private caches and of the L3:
+    lines in LRU order with their dirty bits."""
+    caches = [processor.l3] + [
+        cache
+        for core in processor.cores[:active_cores]
+        for cache in (core.l1i, core.l1d, core.l2)
+    ]
+    return [
+        [list(cache_set.items()) for cache_set in cache._sets]
+        for cache in caches
+    ]
+
+
+@pytest.mark.parametrize("active_cores", [1, 4, 6])
+@pytest.mark.parametrize("shared_fraction", [0.0, 0.3])
+@pytest.mark.parametrize(
+    "footprint, config",
+    [
+        ("short", None),
+        ("wide", None),
+        ("full", None),
+        ("full", SMALL_L3),
+    ],
+)
+def test_start_workload_fill_equals_per_line_prewarm(
+    monkeypatch, active_cores, shared_fraction, footprint, config
+):
+    """The one-pass fill leaves every cache exactly as installing each
+    pre-warm span line by line does (same keys, LRU order, dirty bits).
+    The golden digests only see the sets that sampled ops touch."""
+    phases = [profile(shared_fraction=shared_fraction, **FOOTPRINTS[footprint])]
+    filled = Processor(config)
+    per_line = Processor(config)
+    # Dirty state from an earlier workload must not leak into either.
+    for processor in (filled, per_line):
+        processor.run_workload(
+            phases, np.random.default_rng(9), active_cores=active_cores,
+            ops_per_core=100,
+        )
+    reference_engine.start_workload(per_line, phases, active_cores)
+
+    def no_per_line_fallback(self, line_addr):
+        raise AssertionError("start_workload fell back to per-line installs")
+
+    monkeypatch.setattr(SetAssociativeCache, "install_line", no_per_line_fallback)
+    filled.start_workload(phases, active_cores)
+    assert cache_states(filled, active_cores) == cache_states(per_line, active_cores)
 
 
 def test_events_from_sample_scaling():

@@ -1,5 +1,6 @@
 """Tests for the synthetic text generator."""
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -17,6 +18,23 @@ def test_vocabulary_is_deterministic_and_unique():
 
 def test_vocabulary_differs_across_seeds():
     assert Vocabulary(100, seed=1).words != Vocabulary(100, seed=2).words
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (42, "b653040c58f7707c721e50abc73883c24ba91579e4944b5a9d27bae3f77a780f"),
+        (3, "9c1e4ddb4529178763f5da781a03e1eb95aa9610e94dbf3a148ef280a7589465"),
+    ],
+)
+def test_vocabulary_words_are_pinned(seed, digest):
+    """The words every BDGS text input is drawn from, byte for byte."""
+    words = "\n".join(Vocabulary(5000, seed=seed).words)
+    assert hashlib.sha256(words.encode()).hexdigest() == digest
+
+
+def test_vocabulary_is_built_once_per_size_and_seed():
+    assert Vocabulary(5000, seed=42).words is Vocabulary(5000, seed=42).words
 
 
 def test_vocabulary_size_validation():

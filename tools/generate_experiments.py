@@ -4,20 +4,46 @@ Usage::
 
     python tools/generate_experiments.py [output-path]
 
-Runs the benchmark configuration (``benchmarks/conftest.py::BENCH_CONFIG``)
-and rewrites the paper-vs-measured tables with the freshly measured
-values, so EXPERIMENTS.md is always reproducible from source.
+Runs the benchmark configuration (:data:`BENCH_CONFIG`) and rewrites the
+paper-vs-measured tables with the freshly measured values, so
+EXPERIMENTS.md is always reproducible from source.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from benchmarks.conftest import BENCH_CONFIG  # noqa: E402
-from repro.analysis import evaluate_observations, run_experiment  # noqa: E402
+from repro.analysis import (  # noqa: E402
+    ExperimentConfig,
+    evaluate_observations,
+    run_experiment,
+)
+from repro.cluster import CollectionConfig, MeasurementConfig  # noqa: E402
+
+#: The benchmark collection protocol: one measured slave, three active
+#: cores, modest sample sizes — structurally faithful, minutes not hours.
+#: Parallel collection is bit-identical to serial, so
+#: ``REPRO_BENCH_WORKERS`` only changes wall-clock time.  With
+#: ``REPRO_CACHE_DIR`` set, the suite characterization is persisted
+#: through the result store and rehydrated on later runs.
+BENCH_CONFIG = ExperimentConfig(
+    collection=CollectionConfig(
+        scale=0.5,
+        seed=42,
+        measurement=MeasurementConfig(
+            slaves_measured=1, active_cores=3, ops_per_core=4000
+        ),
+        workers=int(os.environ.get("REPRO_BENCH_WORKERS", "1")),
+    ),
+    cache_dir=os.environ.get("REPRO_CACHE_DIR"),
+)
+
+#: The same run from the command line, for any one figure or table.
+_CLI = "python -m repro experiment --scale 0.5 --seed 42 --slaves 1 --cores 3 --ops 4000"
 
 
 def generate(out_path: Path) -> None:
@@ -32,10 +58,10 @@ def generate(out_path: Path) -> None:
     add("# EXPERIMENTS — paper vs. measured")
     add("")
     add("All measured values come from the default benchmark configuration")
-    add("(`benchmarks/conftest.py::BENCH_CONFIG`: scale 0.5, seed 42, one measured")
+    add("(`tools/generate_experiments.py::BENCH_CONFIG`: scale 0.5, seed 42, one measured")
     add("slave, three active cores, 4000 sampled ops per core per phase).")
     add("Regenerate this file with `python tools/generate_experiments.py`;")
-    add("regenerate any single artifact with the benchmark commands at the")
+    add("render every figure and table of the same run with the command at the")
     add("bottom.  Absolute values are not expected to match the authors'")
     add("physical testbed; the reproduction targets the *shape* of every")
     add("result (who is higher, by roughly what factor, which structure")
@@ -169,7 +195,7 @@ def generate(out_path: Path) -> None:
     add("Spark wins on every algorithm pair, and wins most on the iterative /")
     add("shuffle-heavy workloads, where Hadoop re-reads its input from disk and")
     add("relaunches task JVMs every iteration.  Regenerate with")
-    add("`pytest benchmarks/bench_runtime_gap.py --benchmark-only -s`.")
+    add("`python tools/generate_experiments.py`.")
     add("")
     from repro.analysis.runtime import estimate_runtime
     from repro.cluster import Cluster
@@ -199,16 +225,9 @@ def generate(out_path: Path) -> None:
     add("")
     add("| experiment | command |")
     add("|---|---|")
-    add("| Fig. 1 | `pytest benchmarks/bench_fig1_dendrogram.py --benchmark-only -s` |")
-    add("| Figs. 2-3 | `pytest benchmarks/bench_fig2_fig3_pc_space.py --benchmark-only -s` |")
-    add("| Fig. 4 | `pytest benchmarks/bench_fig4_loadings.py --benchmark-only -s` |")
-    add("| Fig. 5 | `pytest benchmarks/bench_fig5_stack_metrics.py --benchmark-only -s` |")
-    add("| Fig. 6 | `pytest benchmarks/bench_fig6_kiviat.py --benchmark-only -s` |")
-    add("| Table IV | `pytest benchmarks/bench_table4_kmeans_bic.py --benchmark-only -s` |")
-    add("| Table V | `pytest benchmarks/bench_table5_representatives.py --benchmark-only -s` |")
-    add("| Observations 1-9 | `pytest benchmarks/bench_observations.py --benchmark-only -s` |")
-    add("| ablations | `pytest benchmarks/bench_ablation_linkage.py --benchmark-only -s` |")
-    add("| stage timings | `pytest benchmarks/bench_characterization.py --benchmark-only` |")
+    add("| this file | `python tools/generate_experiments.py` |")
+    add(f"| Figs. 1-6, Tables IV-V | `{_CLI}` |")
+    add(f"| Observations 1-9 | `{_CLI.replace(' experiment ', ' observations ')}` |")
     add("")
 
     out_path.write_text("\n".join(lines))
