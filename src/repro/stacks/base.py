@@ -196,16 +196,36 @@ class ExecutionTrace:
         )
 
 
+#: Sizes of the exact leaf types :func:`estimate_bytes` looks up by type.
+_LEAF_BYTES: dict[type, int] = {type(None): 1, bool: 1, int: 8, float: 8}
+
+
 def estimate_bytes(record: object) -> int:
     """Cheap, deterministic wire-size estimate of one record.
 
     The engines track data volume through this instead of
     ``sys.getsizeof`` so byte counts are stable across Python versions.
+    Exact tuples, lists, strings and leaves are sized by ``type()``
+    (tuple and list items inline); every other type, subclasses
+    included, goes through the ``isinstance`` chain below.
     """
-    if record is None:
-        return 1
-    if isinstance(record, bool):
-        return 1
+    kind = type(record)
+    if kind is tuple or kind is list:
+        size = 2
+        for item in record:
+            item_kind = type(item)
+            if item_kind is str:
+                size += len(item) + 1
+            elif item_kind in _LEAF_BYTES:
+                size += _LEAF_BYTES[item_kind]
+            else:
+                size += estimate_bytes(item)
+        return size
+    if kind is str:
+        return len(record) + 1
+    if kind in _LEAF_BYTES:
+        return _LEAF_BYTES[kind]
+    # ``None`` and ``bool`` admit no subclasses, so the chain starts here.
     if isinstance(record, (int, float)):
         return 8
     if isinstance(record, str):

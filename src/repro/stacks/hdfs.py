@@ -84,7 +84,7 @@ class Hdfs:
                     path=path,
                     index=len(blocks),
                     records=chunk,
-                    bytes=sum(estimate_bytes(r) for r in chunk),
+                    bytes=sum(map(estimate_bytes, chunk)),
                     primary_node=primary,
                     replica_nodes=replicas,
                 )

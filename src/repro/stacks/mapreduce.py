@@ -260,7 +260,7 @@ class MapReduceEngine:
         map_out: list[tuple] = []
         for record in block.records:
             map_out.extend(job.mapper(record))
-        out_bytes = sum(estimate_bytes(p) for p in map_out)
+        out_bytes = sum(map(estimate_bytes, map_out))
         recorder.emit(
             PhaseKind.MAP,
             f"map:{job.name}",
@@ -284,14 +284,15 @@ class MapReduceEngine:
                 chunk = _apply_combiner(job.combiner, chunk)
                 combined += len(chunk)
             spilled += len(chunk)
+            chunk_bytes = sum(map(estimate_bytes, chunk))
             recorder.emit(
                 PhaseKind.SPILL,
                 f"spill:{job.name}",
                 worker=worker,
                 records_in=len(chunk),
-                bytes_in=sum(estimate_bytes(p) for p in chunk),
+                bytes_in=chunk_bytes,
                 records_out=len(chunk),
-                bytes_out=sum(estimate_bytes(p) for p in chunk),
+                bytes_out=chunk_bytes,
                 compare_ops=_sort_cost(len(chunk)),
             )
             # Partition the sorted spill into per-reducer runs.
@@ -312,7 +313,7 @@ class MapReduceEngine:
     ) -> _ReduceTaskResult:
         """One reduce attempt: fetch runs, merge-sort them, reduce groups."""
         run_records = sum(len(run) for run in runs)
-        run_bytes = sum(estimate_bytes(p) for run in runs for p in run)
+        run_bytes = sum(sum(map(estimate_bytes, run)) for run in runs)
         recorder.emit(
             PhaseKind.SHUFFLE,
             f"shuffle:{job.name}",
@@ -346,7 +347,7 @@ class MapReduceEngine:
             records_in=len(merged),
             bytes_in=run_bytes,
             records_out=len(reduce_out),
-            bytes_out=sum(estimate_bytes(r) for r in reduce_out),
+            bytes_out=sum(map(estimate_bytes, reduce_out)),
             groups=float(groups),
         )
         return _ReduceTaskResult(reduce_out, groups, run_records, run_bytes)
@@ -360,7 +361,7 @@ class MapReduceEngine:
         counters: _JobCounters,
     ) -> list:
         """Write output to HDFS (if requested) and emit the OUTPUT phase."""
-        out_bytes = sum(estimate_bytes(r) for r in output)
+        out_bytes = sum(map(estimate_bytes, output))
         trace.emit(
             PhaseKind.OUTPUT,
             f"output:{job.name}",

@@ -34,7 +34,7 @@ _rdd_ids = itertools.count(1)
 
 
 def _partition_bytes(partition: list) -> int:
-    return sum(estimate_bytes(record) for record in partition)
+    return sum(map(estimate_bytes, partition))
 
 
 class SparkContextLike:
@@ -250,14 +250,15 @@ class _SourceRDD(RDD):
         output: list[list] = []
         for index, partition in enumerate(self._partitions):
             def body(recorder, worker, partition=partition):
+                size = _partition_bytes(partition)
                 recorder.emit(
                     PhaseKind.STAGE,
                     "scan:parallelize",
                     worker=worker,
                     records_in=len(partition),
-                    bytes_in=_partition_bytes(partition),
+                    bytes_in=size,
                     records_out=len(partition),
-                    bytes_out=_partition_bytes(partition),
+                    bytes_out=size,
                 )
                 return list(partition)
 
@@ -416,14 +417,15 @@ class _UnionRDD(RDD):
         right = self.engine.compute(self._right, trace)
         partitions = left + right
         for index, partition in enumerate(partitions):
+            size = _partition_bytes(partition)
             trace.emit(
                 PhaseKind.STAGE,
                 "stage:union",
                 worker=self.preferred_worker(index),
                 records_in=len(partition),
-                bytes_in=_partition_bytes(partition),
+                bytes_in=size,
                 records_out=len(partition),
-                bytes_out=_partition_bytes(partition),
+                bytes_out=size,
             )
         return partitions
 
@@ -490,14 +492,15 @@ class _ShuffledRDD(RDD):
         output: list[list] = []
         for index, bucket in enumerate(buckets):
             def read_body(recorder, worker, bucket=bucket):
+                size = _partition_bytes(bucket)
                 recorder.emit(
                     PhaseKind.SHUFFLE_READ,
                     "shuffle-read",
                     worker=worker,
                     records_in=len(bucket),
-                    bytes_in=_partition_bytes(bucket),
+                    bytes_in=size,
                     records_out=len(bucket),
-                    bytes_out=_partition_bytes(bucket),
+                    bytes_out=size,
                     fetches=float(len(parents)),
                 )
                 if self._combiner is not None:
@@ -512,7 +515,7 @@ class _ShuffledRDD(RDD):
                     "stage:aggregate",
                     worker=worker,
                     records_in=len(bucket),
-                    bytes_in=_partition_bytes(bucket),
+                    bytes_in=size,
                     records_out=len(result),
                     bytes_out=_partition_bytes(result),
                 )
@@ -545,14 +548,15 @@ class _SortedRDD(RDD):
         buckets: list[list] = [[] for _ in range(self.num_partitions)]
         for index, partition in enumerate(parents):
             def write_body(recorder, worker, partition=partition):
+                size = _partition_bytes(partition)
                 recorder.emit(
                     PhaseKind.SHUFFLE_WRITE,
                     "shuffle-write:sort",
                     worker=worker,
                     records_in=len(partition),
-                    bytes_in=_partition_bytes(partition),
+                    bytes_in=size,
                     records_out=len(partition),
-                    bytes_out=_partition_bytes(partition),
+                    bytes_out=size,
                 )
                 return partition
 
@@ -569,24 +573,26 @@ class _SortedRDD(RDD):
         output: list[list] = []
         for index, bucket in enumerate(buckets):
             def read_body(recorder, worker, bucket=bucket):
+                size = _partition_bytes(bucket)
                 recorder.emit(
                     PhaseKind.SHUFFLE_READ,
                     "shuffle-read:sort",
                     worker=worker,
                     records_in=len(bucket),
-                    bytes_in=_partition_bytes(bucket),
+                    bytes_in=size,
                     records_out=len(bucket),
-                    bytes_out=_partition_bytes(bucket),
+                    bytes_out=size,
                 )
+                # Sorting reorders the same records, so their size holds.
                 result = sorted(bucket, key=self._key_fn)
                 recorder.emit(
                     PhaseKind.STAGE,
                     "stage:sort",
                     worker=worker,
                     records_in=len(result),
-                    bytes_in=_partition_bytes(result),
+                    bytes_in=size,
                     records_out=len(result),
-                    bytes_out=_partition_bytes(result),
+                    bytes_out=size,
                     compare_ops=float(len(result)) * math.log2(max(2, len(result))),
                 )
                 return result
@@ -613,14 +619,15 @@ class _CoGroupedRDD(RDD):
         buckets: list[list] = [[] for _ in range(self.num_partitions)]
         for index, partition in enumerate(parents):
             def write_body(recorder, worker, partition=partition):
+                size = _partition_bytes(partition)
                 recorder.emit(
                     PhaseKind.SHUFFLE_WRITE,
                     f"shuffle-write:{label}",
                     worker=worker,
                     records_in=len(partition),
-                    bytes_in=_partition_bytes(partition),
+                    bytes_in=size,
                     records_out=len(partition),
-                    bytes_out=_partition_bytes(partition),
+                    bytes_out=size,
                 )
                 return partition
 
@@ -643,12 +650,13 @@ class _CoGroupedRDD(RDD):
             left, right = left_buckets[index], right_buckets[index]
 
             def read_body(recorder, worker, left=left, right=right):
+                size = _partition_bytes(left) + _partition_bytes(right)
                 recorder.emit(
                     PhaseKind.SHUFFLE_READ,
                     "shuffle-read:cogroup",
                     worker=worker,
                     records_in=len(left) + len(right),
-                    bytes_in=_partition_bytes(left) + _partition_bytes(right),
+                    bytes_in=size,
                 )
                 right_map: dict = {}
                 for key, value in right:
@@ -669,7 +677,7 @@ class _CoGroupedRDD(RDD):
                     f"stage:{self._mode}",
                     worker=worker,
                     records_in=len(left) + len(right),
-                    bytes_in=_partition_bytes(left) + _partition_bytes(right),
+                    bytes_in=size,
                     records_out=len(result),
                     bytes_out=_partition_bytes(result),
                 )

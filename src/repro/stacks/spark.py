@@ -81,14 +81,15 @@ class SparkEngine(SparkContextLike):
                 partitions=len(partitions),
             ):
                 for index, partition in enumerate(partitions):
+                    size = sum(map(estimate_bytes, partition))
                     trace.emit(
                         PhaseKind.CACHE_SCAN,
                         "cache-scan",
                         worker=rdd.preferred_worker(index),
                         records_in=len(partition),
-                        bytes_in=sum(estimate_bytes(r) for r in partition),
+                        bytes_in=size,
                         records_out=len(partition),
-                        bytes_out=sum(estimate_bytes(r) for r in partition),
+                        bytes_out=size,
                     )
             return [list(p) for p in partitions]
 
@@ -102,7 +103,7 @@ class SparkEngine(SparkContextLike):
                     "cache-build",
                     worker=rdd.preferred_worker(index),
                     records_in=len(partition),
-                    bytes_in=sum(estimate_bytes(r) for r in partition),
+                    bytes_in=sum(map(estimate_bytes, partition)),
                 )
         return partitions
 

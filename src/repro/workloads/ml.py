@@ -59,19 +59,17 @@ def _bayes_model(counts: dict) -> tuple[dict, dict, set]:
 def _bayes_classify(
     words: tuple[str, ...],
     label_totals: dict,
+    label_words: dict,
     word_counts: dict,
     vocabulary: set,
 ) -> str:
     total_docs = sum(label_totals.values())
     best_label, best_score = "", -math.inf
     for label, doc_count in label_totals.items():
-        label_words = sum(
-            count for (l, _w), count in word_counts.items() if l == label
-        )
         score = math.log(doc_count / total_docs)
         for word in words:
             count = word_counts.get((label, word), 0)
-            score += math.log((count + 1) / (label_words + len(vocabulary)))
+            score += math.log((count + 1) / (label_words[label] + len(vocabulary)))
         if score > best_score:
             best_label, best_score = label, score
     return best_label
@@ -79,10 +77,17 @@ def _bayes_classify(
 
 def _bayes_check(counts: dict, test_docs) -> dict[str, float]:
     label_totals, word_counts, vocabulary = _bayes_model(counts)
+    label_words = dict.fromkeys(label_totals, 0)
+    for (label, _word), count in word_counts.items():
+        if label in label_words:
+            label_words[label] += count
     correct = sum(
         1
         for doc in test_docs
-        if _bayes_classify(doc.words, label_totals, word_counts, vocabulary) == doc.label
+        if _bayes_classify(
+            doc.words, label_totals, label_words, word_counts, vocabulary
+        )
+        == doc.label
     )
     return {"accuracy": correct / len(test_docs)}
 

@@ -1,7 +1,8 @@
 """Crash consistency of the shared store directory under SIGKILL.
 
-A forked child loops over one writer operation; the parent SIGKILLs it
-after a seeded random delay, then checks what the child left behind.
+A forked child sets up one writer operation, reports that over a pipe,
+then loops over it; the parent SIGKILLs it a seeded random delay after
+the report, then checks what the child left behind.
 Each operation gets ``KILLS`` kill points against one store directory,
 so damage from earlier kills accumulates and must stay harmless:
 
@@ -45,7 +46,8 @@ pytestmark = pytest.mark.skipif(
 #: Kill points per operation.
 KILLS = 20
 
-#: Each kill lands this long (seconds, seeded uniform) after the fork.
+#: Each kill lands this long (seconds, seeded uniform) after the child
+#: reports its operation's set-up done.
 DELAY_S = (0.001, 0.04)
 
 
@@ -54,23 +56,26 @@ def _payload(key: str) -> dict:
     return {"kind": "blob", "key": key, "values": values * 400}
 
 
-def _put(root, start: int) -> None:
+def _put(root, start: int, ready) -> None:
     store = ResultStore(root, max_entries=4)  # evicts once 5 keys exist
+    ready()
     for i in range(start, 10**9):
         key = f"k{i % 7}"
         store.put(key, _payload(key))
 
 
-def _put_object_adopt(root, start: int) -> None:
+def _put_object_adopt(root, start: int, ready) -> None:
     store = ResultStore(root, max_entries=4)
+    ready()
     for i in range(start, 10**9):
         key = f"o{i % 7}"
         digest, nbytes = store.put_object(key, _payload(key))
         store.adopt(key, digest, nbytes)
 
 
-def _claims(root, start: int) -> None:
+def _claims(root, start: int, ready) -> None:
     registry = ClaimRegistry(root, ttl_s=900.0)
+    ready()
     for i in range(start, 10**9):
         claim = registry.acquire("hot")
         if claim is not None:
@@ -79,7 +84,7 @@ def _claims(root, start: int) -> None:
             registry.release(claim)
 
 
-def _shards(root, _start: int) -> None:
+def _shards(root, _start: int, ready) -> None:
     registry = MetricsRegistry()
     counter = registry.counter("crash_total", "Writes", ("slot",))
     for slot in range(200):
@@ -87,11 +92,12 @@ def _shards(root, _start: int) -> None:
     writer = TelemetryAgent(
         root, instance="crash", role="server", registry=registry
     )
+    ready()
     while True:
         writer.write_now()
 
 
-def _profiles(root, _start: int) -> None:
+def _profiles(root, _start: int, ready) -> None:
     doc = {
         "schema": PROFILE_SCHEMA,
         "kind": "cpu-profile",
@@ -100,13 +106,15 @@ def _profiles(root, _start: int) -> None:
         "ttl_s": 120.0,
         "stacks": [[["span"], [f"frame{i}"], 1, False] for i in range(2000)],
     }
+    ready()
     while True:
         doc["written_s"] = round(time.time(), 3)
         spill_profile(root, doc)
 
 
-def _job_snapshots(root, start: int) -> None:
+def _job_snapshots(root, start: int, ready) -> None:
     manager = JobManager(ResultStore(root), instance=f"crash{start}")
+    ready()
     for n in range(10**9):
         job = Job(id=f"job-crash-{n:06d}", key="k", workloads=("a", "b"))
         job._on_note = manager._persist_snapshot
@@ -115,17 +123,26 @@ def _job_snapshots(root, start: int) -> None:
 
 
 def _run_and_kill(operation, root, start: int, delay_s: float) -> None:
-    """Fork ``operation(root, start)`` and SIGKILL it after ``delay_s``.
+    """Fork ``operation(root, start, ready)`` and SIGKILL it ``delay_s``
+    after it calls ``ready()``.
 
     ``start`` is the kill's number: each life picks up where the last
-    one's sequence would be, so state accumulates across kills.
+    one's sequence would be, so state accumulates across kills.  Timing
+    the kill from ``ready()`` rather than from the fork keeps a slow
+    start (a loaded host, copy-on-write faults in a large test process)
+    from eating the whole delay before the first write.
     """
+    read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:  # pragma: no cover - the child never returns
         try:
-            operation(root, start)
+            os.close(read_end)
+            operation(root, start, lambda: os.write(write_end, b"."))
         finally:
             os._exit(3)  # an operation that raised or returned
+    os.close(write_end)
+    with os.fdopen(read_end, "rb", buffering=0) as pipe:
+        pipe.read(1)  # b"" if the child died before its set-up was done
     time.sleep(delay_s)
     os.kill(pid, signal.SIGKILL)
     _pid, status = os.waitpid(pid, 0)

@@ -1,5 +1,10 @@
 """Tests for the shared stack abstractions (trace, sizes, hashing)."""
 
+import dataclasses
+import enum
+from collections import namedtuple
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -94,6 +99,100 @@ class TestEstimateBytes:
         size = estimate_bytes(value)
         assert size >= 1
         assert estimate_bytes(value) == size
+
+
+def reference_estimate_bytes(record: object) -> int:
+    """The size estimate as a plain ``isinstance`` chain: the oracle the
+    shipped function's exact-type fast path must agree with."""
+    if record is None:
+        return 1
+    if isinstance(record, bool):
+        return 1
+    if isinstance(record, (int, float)):
+        return 8
+    if isinstance(record, str):
+        return len(record) + 1
+    if isinstance(record, (bytes, bytearray)):
+        return len(record)
+    if isinstance(record, (tuple, list)):
+        return 2 + sum(reference_estimate_bytes(item) for item in record)
+    if isinstance(record, dict):
+        return 2 + sum(
+            reference_estimate_bytes(k) + reference_estimate_bytes(v)
+            for k, v in record.items()
+        )
+    if hasattr(record, "__dataclass_fields__"):
+        return 2 + sum(
+            reference_estimate_bytes(getattr(record, name))
+            for name in record.__dataclass_fields__
+        )
+    return 16
+
+
+_Pair = namedtuple("_Pair", "key value")
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _Word(str):
+    pass
+
+
+@dataclasses.dataclass(frozen=True)
+class _Point:
+    x: float
+    label: str
+
+
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=12),
+    st.binary(max_size=12),
+    st.binary(max_size=12).map(bytearray),
+)
+
+_SUBCLASS_LEAVES = st.one_of(
+    st.builds(_Pair, st.integers(), st.text(max_size=6)),
+    st.just(_Level.LOW),
+    st.text(max_size=6).map(_Word),
+    st.floats(allow_nan=False).map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.builds(_Point, st.floats(allow_nan=False), st.text(max_size=6)),
+)
+
+
+class TestEstimateBytesOracle:
+    @given(
+        st.recursive(
+            _LEAVES,
+            lambda children: st.lists(children, max_size=5)
+            | st.lists(children, max_size=5).map(tuple)
+            | st.dictionaries(st.text(max_size=4), children, max_size=3),
+            max_leaves=20,
+        )
+    )
+    def test_matches_reference_on_nested_containers(self, value):
+        assert estimate_bytes(value) == reference_estimate_bytes(value)
+
+    @given(
+        _SUBCLASS_LEAVES
+        | st.lists(_SUBCLASS_LEAVES | _LEAVES, max_size=5).map(tuple)
+    )
+    def test_matches_reference_on_subclasses(self, value):
+        assert estimate_bytes(value) == reference_estimate_bytes(value)
+
+    def test_subclass_sizes(self):
+        assert estimate_bytes(np.float64(1.5)) == 8
+        assert estimate_bytes(np.int64(3)) == 16  # not an ``int``
+        assert estimate_bytes(_Level.LOW) == 8
+        assert estimate_bytes(_Word("ab")) == 3
+        assert estimate_bytes(_Pair(1, "ab")) == 2 + 8 + 3
+        assert estimate_bytes((_Point(1.0, "a"), np.int64(1))) == 2 + 12 + 16
 
 
 class TestStableHash:
