@@ -10,7 +10,7 @@ instrumentation layer synthesises from engine activity.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import setitem
@@ -113,8 +113,10 @@ class CacheStats:
 class SetAssociativeCache:
     """A write-back, write-allocate set-associative cache with true LRU.
 
-    Each set is an :class:`collections.OrderedDict` mapping line address to
-    a dirty bit, ordered from least to most recently used.
+    Each set is a plain ``dict`` mapping line address to a dirty bit.  Its
+    insertion order is the LRU order, least recently used first: a hit
+    re-inserts its line at the end (``s[line] = s.pop(line)``) and the
+    victim is the first key.
     """
 
     __slots__ = (
@@ -140,15 +142,13 @@ class SetAssociativeCache:
         self._line_shift = config.line_size.bit_length() - 1
         self._assoc = config.associativity
         self._write_back = config.write_back
-        self._sets: list[OrderedDict[int, bool]] = [
-            OrderedDict() for _ in range(config.num_sets)
-        ]
+        self._sets: list[dict[int, bool]] = [{} for _ in range(config.num_sets)]
 
     def line_address(self, addr: int) -> int:
         """Return the line-aligned address containing byte ``addr``."""
         return addr >> self._line_shift
 
-    def _set_for(self, line_addr: int) -> OrderedDict[int, bool]:
+    def _set_for(self, line_addr: int) -> dict[int, bool]:
         mask = self._set_mask
         return self._sets[line_addr & mask if mask else line_addr % self._num_sets]
 
@@ -163,15 +163,15 @@ class SetAssociativeCache:
         stats = self.stats
         if line in cache_set:
             stats.hits += 1
-            cache_set.move_to_end(line)
-            if is_write:
-                cache_set[line] = True
+            dirty = cache_set.pop(line)
+            cache_set[line] = True if is_write else dirty
             return CacheAccess(True, line)
         stats.misses += 1
         evicted_line = None
         writeback = False
         if len(cache_set) >= self._assoc:
-            evicted_line, evicted_dirty = cache_set.popitem(last=False)
+            evicted_line = next(iter(cache_set))
+            evicted_dirty = cache_set.pop(evicted_line)
             stats.evictions += 1
             if evicted_dirty and self._write_back:
                 stats.writebacks += 1
@@ -192,10 +192,10 @@ class SetAssociativeCache:
             line_addr & mask if mask else line_addr % self._num_sets
         ]
         if line_addr in cache_set:
-            cache_set.move_to_end(line_addr)
+            cache_set[line_addr] = cache_set.pop(line_addr)
             return
         if len(cache_set) >= self._assoc:
-            cache_set.popitem(last=False)
+            del cache_set[next(iter(cache_set))]
         cache_set[line_addr] = False
 
     def fill(self, spans: list[tuple[int, int]]) -> None:

@@ -10,7 +10,6 @@ whose cycles feed the ``ITLB_CYCLE`` / ``DTLB_CYCLE`` Table II metrics.
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -93,7 +92,11 @@ class TlbStats:
 
 
 class Tlb:
-    """One set-associative TLB level with LRU replacement over page numbers."""
+    """One set-associative TLB level with LRU replacement over page numbers.
+
+    Each set is a plain ``dict`` of page numbers (values unused) whose
+    insertion order is the LRU order, least recently used first.
+    """
 
     __slots__ = ("config", "_set_mask", "_assoc", "_sets")
 
@@ -101,16 +104,16 @@ class Tlb:
         self.config = config
         self._set_mask = config.num_sets - 1
         self._assoc = config.associativity
-        self._sets: list[OrderedDict[int, None]] = [OrderedDict() for _ in range(config.num_sets)]
+        self._sets: list[dict[int, None]] = [{} for _ in range(config.num_sets)]
 
-    def _set_for(self, page: int) -> OrderedDict[int, None]:
+    def _set_for(self, page: int) -> dict[int, None]:
         return self._sets[page & self._set_mask]
 
     def lookup(self, page: int) -> bool:
         """Probe for ``page``; returns hit and updates LRU (no fill on miss)."""
         tlb_set = self._set_for(page)
         if page in tlb_set:
-            tlb_set.move_to_end(page)
+            tlb_set[page] = tlb_set.pop(page)
             return True
         return False
 
@@ -118,10 +121,10 @@ class Tlb:
         """Install ``page``, evicting the LRU victim if the set is full."""
         tlb_set = self._set_for(page)
         if page in tlb_set:
-            tlb_set.move_to_end(page)
+            tlb_set[page] = tlb_set.pop(page)
             return
         if len(tlb_set) >= self._assoc:
-            tlb_set.popitem(last=False)
+            del tlb_set[next(iter(tlb_set))]
         tlb_set[page] = None
 
     def flush(self) -> None:
