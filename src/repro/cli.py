@@ -313,8 +313,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             _measurement(args),
             faults=plan,
         )
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(tracer.to_chrome(), handle)
+    if _write_trace(tracer.to_chrome(), args.out):
+        return 1
     print(f"{workload.name}: {len(tracer)} spans -> {args.out} "
           "(load in chrome://tracing or https://ui.perfetto.dev)")
     print(f"flight recorder captured {len(characterization.events)} events")
@@ -323,6 +323,24 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     for entry in tracer.summary(top=args.top):
         print(f"{entry['name']:40s} {entry['count']:>6d} "
               f"{entry['total_us'] / 1e3:>10.2f}")
+    return 0
+
+
+def _write_trace(document: dict, out: str, **bounds) -> int:
+    """Write a Chrome trace that passes :func:`validate_trace`.
+
+    Returns the exit code: 1, with the problems on stderr and nothing
+    written, when the exporter produced a malformed document.
+    """
+    from repro.obs.trace import validate_trace
+
+    problems = validate_trace(document, **bounds)
+    for problem in problems:
+        print(f"repro: invalid trace: {problem}", file=sys.stderr)
+    if problems:
+        return 1
+    with open(out, "w", encoding="utf-8") as handle:
+        json.dump(document, handle)
     return 0
 
 
@@ -339,8 +357,8 @@ def _merge_traces(args: argparse.Namespace) -> int:
         )
         return EXIT_USAGE
     merged = merge_traces(documents)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(merged, handle)
+    if _write_trace(merged, args.out, require_process_names=True):
+        return 1
     pids = merged["otherData"]["pids"]
     events = [e for e in merged["traceEvents"] if e.get("ph") != "M"]
     print(
@@ -416,7 +434,12 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     """``repro profile``: capture a merged fleet CPU profile window."""
-    from repro.obs.prof import attribution, collapsed_stacks, span_totals
+    from repro.obs.prof import (
+        attribution,
+        collapsed_stacks,
+        span_totals,
+        validate_profile,
+    )
 
     if args.store is not None:
         from repro.obs.fleet import collect_fleet_profile, request_profile
@@ -450,6 +473,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             "for an offline fleet)",
             file=sys.stderr,
         )
+        return 1
+    problems = validate_profile(doc)
+    for problem in problems:
+        print(f"repro: invalid profile: {problem}", file=sys.stderr)
+    if problems:
         return 1
     stats = attribution(doc)
     roles: dict[str, int] = {}

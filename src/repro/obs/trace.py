@@ -2,7 +2,9 @@
 
 A :class:`Tracer` collects complete ("ph": "X") and instant ("ph": "i")
 events; :meth:`Tracer.to_chrome` renders the Trace Event Format that
-``chrome://tracing`` and Perfetto load directly.  The active tracer is
+``chrome://tracing`` and Perfetto load directly, and
+:func:`validate_trace` checks an exported or merged document against
+that format before ``repro trace`` writes it.  The active tracer is
 ambient (a :mod:`contextvars` variable, like the fault injector) so the
 engines deep inside a workload runner can reach it without threading a
 parameter through every call site.
@@ -34,6 +36,7 @@ __all__ = [
     "span",
     "instant",
     "span_paths",
+    "validate_trace",
 ]
 
 
@@ -278,3 +281,199 @@ def instant(name: str, cat: str = "", **args) -> None:
     tracer = _ACTIVE.get()
     if tracer is not None:
         tracer.instant(name, cat, **args)
+
+
+# -- validation ---------------------------------------------------------------
+
+#: Phases the exporters emit: complete, instant, begin/end, metadata.
+_VALID_PHASES = {"X", "i", "B", "E", "M"}
+
+#: Metadata event names whose ``args.name`` labels a viewer lane.
+_LANE_METADATA = {"process_name", "thread_name"}
+
+
+def _check_event(index: int, event: object) -> list[str]:
+    """Problems with one trace event (empty list = valid)."""
+    if not isinstance(event, dict):
+        return [f"event {index}: not an object"]
+    problems = []
+    if not isinstance(event.get("name"), str) or not event["name"]:
+        problems.append(f"event {index}: missing or empty 'name'")
+    phase = event.get("ph")
+    if phase not in _VALID_PHASES:
+        problems.append(
+            f"event {index}: 'ph' must be one of {sorted(_VALID_PHASES)}, "
+            f"got {phase!r}"
+        )
+    ts = event.get("ts")
+    if phase == "M" and ts is None:
+        pass  # metadata events are timeless; 'ts' is optional on them
+    elif not isinstance(ts, (int, float)) or isinstance(ts, bool) or ts < 0:
+        problems.append(f"event {index}: 'ts' must be a number >= 0, got {ts!r}")
+    for key in ("pid", "tid"):
+        value = event.get(key)
+        if not isinstance(value, int) or isinstance(value, bool):
+            problems.append(
+                f"event {index}: {key!r} must be an integer, got {value!r}"
+            )
+    if phase == "X":
+        dur = event.get("dur")
+        if not isinstance(dur, (int, float)) or isinstance(dur, bool) or dur < 0:
+            problems.append(
+                f"event {index}: complete event needs 'dur' >= 0, got {dur!r}"
+            )
+    if phase == "i" and not event.get("s"):
+        problems.append(f"event {index}: instant event needs a scope 's'")
+    if phase == "M" and event.get("name") in _LANE_METADATA:
+        args = event.get("args")
+        label = args.get("name") if isinstance(args, dict) else None
+        if not isinstance(label, str) or not label:
+            problems.append(
+                f"event {index}: {event['name']!r} metadata needs a "
+                f"non-empty string 'args.name', got {label!r}"
+            )
+    return problems
+
+
+def _check_duration_nesting(events: list) -> list[str]:
+    """Per-thread ``B``/``E`` stack discipline and monotone timestamps.
+
+    Chrome's viewer silently mis-renders unbalanced duration events; this
+    makes them a hard failure: an ``E`` with no open ``B``, an ``E``
+    whose name contradicts the ``B`` it closes, a ``B`` never closed, a
+    timestamp that runs backwards within a thread (which would imply a
+    negative duration), all get a diagnostic.
+    """
+    problems = []
+    stacks: dict[tuple, list[tuple[int, str, float]]] = {}
+    last_ts: dict[tuple, float] = {}
+    for index, event in enumerate(events):
+        if not isinstance(event, dict) or event.get("ph") not in ("B", "E"):
+            continue
+        ts = event.get("ts")
+        if not isinstance(ts, (int, float)) or isinstance(ts, bool):
+            continue  # _check_event already reported the bad timestamp
+        thread = (event.get("pid"), event.get("tid"))
+        if thread in last_ts and ts < last_ts[thread]:
+            problems.append(
+                f"event {index}: 'ts' {ts!r} runs backwards on tid "
+                f"{thread[1]!r} (previous B/E at {last_ts[thread]!r})"
+            )
+        last_ts[thread] = ts
+        stack = stacks.setdefault(thread, [])
+        if event["ph"] == "B":
+            stack.append((index, str(event.get("name", "")), float(ts)))
+            continue
+        if not stack:
+            problems.append(
+                f"event {index}: 'E' with no open 'B' on tid {thread[1]!r}"
+            )
+            continue
+        begin_index, begin_name, begin_ts = stack.pop()
+        end_name = event.get("name")
+        if end_name and begin_name and end_name != begin_name:
+            problems.append(
+                f"event {index}: 'E' named {end_name!r} closes 'B' "
+                f"{begin_name!r} (event {begin_index})"
+            )
+        if ts < begin_ts:
+            problems.append(
+                f"event {index}: negative duration — 'E' at {ts!r} before "
+                f"its 'B' at {begin_ts!r} (event {begin_index})"
+            )
+    for thread, stack in sorted(stacks.items(), key=lambda kv: str(kv[0])):
+        for begin_index, begin_name, _ in stack:
+            problems.append(
+                f"event {begin_index}: 'B' {begin_name!r} on tid "
+                f"{thread[1]!r} never closed"
+            )
+    return problems
+
+
+def _real_event_threads(events: list) -> dict[int, set]:
+    """pid -> set of tids carrying real (non-metadata) events."""
+    threads: dict[int, set] = {}
+    for event in events:
+        if not isinstance(event, dict) or event.get("ph") == "M":
+            continue
+        pid, tid = event.get("pid"), event.get("tid")
+        if isinstance(pid, int) and not isinstance(pid, bool):
+            threads.setdefault(pid, set())
+            if isinstance(tid, int) and not isinstance(tid, bool):
+                threads[pid].add(tid)
+    return threads
+
+
+def _check_fleet_metadata(events: list) -> list[str]:
+    """Every pid with real events is labeled for the viewer.
+
+    A merged multi-process trace is only readable if each pid lane has
+    a ``process_name`` metadata event and each ``(pid, tid)`` row a
+    ``thread_name`` one — otherwise Perfetto shows bare numbers and the
+    fleet structure the merge worked to recover is invisible.
+    """
+    named_pids = set()
+    named_threads = set()
+    for event in events:
+        if not isinstance(event, dict) or event.get("ph") != "M":
+            continue
+        if event.get("name") == "process_name":
+            named_pids.add(event.get("pid"))
+        elif event.get("name") == "thread_name":
+            named_threads.add((event.get("pid"), event.get("tid")))
+    problems = []
+    for pid, tids in sorted(_real_event_threads(events).items()):
+        if pid not in named_pids:
+            problems.append(
+                f"pid {pid}: has events but no 'process_name' metadata"
+            )
+        for tid in sorted(tids):
+            if (pid, tid) not in named_threads:
+                problems.append(
+                    f"pid {pid} tid {tid}: has events but no "
+                    f"'thread_name' metadata"
+                )
+    return problems
+
+
+def validate_trace(
+    document: object,
+    min_events: int = 1,
+    min_pids: int = 0,
+    require_process_names: bool = False,
+) -> list[str]:
+    """All problems with one parsed Chrome trace document (empty = valid).
+
+    The structural contract chrome://tracing and Perfetto rely on: a
+    ``traceEvents`` list of at least ``min_events`` events, each with a
+    non-empty ``name``, a known ``ph``, a numeric ``ts >= 0`` (optional
+    on ``M``), integer ``pid``/``tid``, ``dur >= 0`` on ``X``, a scope
+    on ``i`` and a non-empty ``args.name`` on lane metadata; ``B``/``E``
+    pairs nest per thread with monotone timestamps.  For a merged
+    multi-process trace, ``min_pids`` demands real events from that
+    many pids and ``require_process_names`` demands a lane label for
+    every pid and ``(pid, tid)`` carrying them.
+    """
+    if not isinstance(document, dict):
+        return ["top level must be a JSON object"]
+    events = document.get("traceEvents")
+    if not isinstance(events, list):
+        return ["'traceEvents' must be a list"]
+    problems = []
+    if len(events) < min_events:
+        problems.append(
+            f"expected at least {min_events} events, found {len(events)}"
+        )
+    for index, event in enumerate(events):
+        problems.extend(_check_event(index, event))
+    problems.extend(_check_duration_nesting(events))
+    if min_pids > 0:
+        pids = _real_event_threads(events)
+        if len(pids) < min_pids:
+            problems.append(
+                f"expected events from at least {min_pids} pids, "
+                f"found {len(pids)} ({sorted(pids)})"
+            )
+    if require_process_names:
+        problems.extend(_check_fleet_metadata(events))
+    return problems

@@ -8,13 +8,11 @@ summed, ``sum`` gauges summed, ``per_worker`` gauges labeled, never
 double-counted) are a contract dashboards depend on.
 """
 
-import importlib.util
 import json
 import multiprocessing
 import os
 import socket
 import time
-from pathlib import Path
 
 from repro.durable import write_json
 from repro.obs.fleet import (
@@ -31,17 +29,9 @@ from repro.obs.fleet import (
     telemetry_dir,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.trace import Tracer, validate_trace
 
 _MP = multiprocessing.get_context("fork")
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-_spec = importlib.util.spec_from_file_location(
-    "check_trace_for_fleet", REPO_ROOT / "tools" / "check_trace.py"
-)
-check_trace_module = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(check_trace_module)
-check_trace = check_trace_module.check_trace
 
 
 def _registry(requests: dict, jobs_live: float, store_entries: float):
@@ -457,7 +447,7 @@ class TestTraceMerge:
             ]
         )
         assert (
-            check_trace(merged, min_pids=3, require_process_names=True) == []
+            validate_trace(merged, min_pids=3, require_process_names=True) == []
         )
 
     def test_incoming_metadata_dropped_and_rebuilt(self):
@@ -494,7 +484,7 @@ class TestTraceMerge:
         assert writer.write_now()
         assert len(read_live(tmp_path, "traces")) == 1
         merged = merge_store_traces(tmp_path)
-        assert check_trace(merged, require_process_names=True) == []
+        assert validate_trace(merged, require_process_names=True) == []
         lanes = [
             e["args"]["name"]
             for e in merged["traceEvents"]

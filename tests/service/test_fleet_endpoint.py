@@ -5,20 +5,23 @@ all reporting into per-process metric shards — these tests drive jobs
 through the fleet and assert the scrape-side contracts: ``/metrics``
 totals equal the per-shard sums, ``/fleet`` sees every process, and
 ``/trace`` stitches spans from three-plus pids into one valid Chrome
-trace joined by the client's correlation id.
+trace joined by the client's correlation id.  The slow profiling gate
+samples the same kind of fleet while a collection runs through it.
 """
 
-import importlib.util
 import json
 import os
+import threading
+import time
 import urllib.request
-from pathlib import Path
 
 import pytest
 
 from repro.cluster.collection import CollectionConfig
 from repro.cluster.testbed import MeasurementConfig
 from repro.obs.fleet import load_shard, telemetry_dir
+from repro.obs.prof import validate_profile
+from repro.obs.trace import validate_trace
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceConfig
 from repro.service.supervisor import Supervisor
@@ -27,14 +30,6 @@ from repro.workloads.suite import SUITE
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="pre-fork serving needs os.fork()"
 )
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-_spec = importlib.util.spec_from_file_location(
-    "check_trace_for_fleet_e2e", REPO_ROOT / "tools" / "check_trace.py"
-)
-check_trace_module = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(check_trace_module)
-check_trace = check_trace_module.check_trace
 
 FAST = CollectionConfig(
     scale=0.2,
@@ -100,6 +95,10 @@ def test_fleet_scrape_trace_and_status(tmp_path):
                 break
         assert len(instances) == 2
 
+        # -- health probes answer before any load ----------------------
+        assert client.healthz()["ok"] is True
+        assert client.readyz()["ready"] is True
+
         # Drive a cold suite collection: two workloads across two pool
         # worker processes (single-workload jobs stay serial).
         matrix = client.matrix()
@@ -113,6 +112,10 @@ def test_fleet_scrape_trace_and_status(tmp_path):
         # on-disk shard sums exactly, outcome by outcome.
         pool_ok = _exposition_values(text, "repro_pool_tasks_total")
         assert sum(pool_ok.values()) == sums["repro_pool_tasks_total"] > 0
+        restarts = _exposition_values(text, "repro_worker_restarts_total")
+        assert sum(restarts.values()) == sums.get(
+            "repro_worker_restarts_total", 0.0
+        )
         # The summed gauge: the finished job holds no live slots.
         jobs_live = _exposition_values(text, "repro_jobs_live")
         assert jobs_live == {"repro_jobs_live": 0.0}
@@ -137,11 +140,12 @@ def test_fleet_scrape_trace_and_status(tmp_path):
         assert totals["restarts_total"] == 0
         assert totals["requests_total"] > 0
         assert set(totals["request_seconds"]) == {"p50", "p95", "p99"}
+        assert fleet["health"]["ready"] is True
 
         # -- /trace: one Chrome trace, >= 3 pids, correlated ------------
         merged = client.merged_trace()
-        assert check_trace(
-            merged, min_pids=3, require_process_names=True
+        assert validate_trace(
+            merged, min_events=3, min_pids=3, require_process_names=True
         ) == []
         correlated_pids = {
             event["pid"]
@@ -179,3 +183,56 @@ def test_characterizations_identical_with_fleet_telemetry(monkeypatch):
     collection._MEMO.clear()
     assert telemetered.matrix.workloads == serial.matrix.workloads
     assert np.array_equal(telemetered.matrix.values, serial.matrix.values)
+
+
+@pytest.mark.slow
+def test_profile_window_over_a_live_pool_collection(tmp_path):
+    """The fleet profiling gate: a 3 s window opened while a cold
+    four-workload collection runs through a 2-worker pool samples
+    server and pool processes, attributes >= 90% of its busy samples
+    to span paths, and catches the pool at work."""
+    config = ServiceConfig(
+        collection=CollectionConfig(
+            # Heavy enough that the collection outlives the window.
+            scale=0.3,
+            seed=31,
+            measurement=MeasurementConfig(
+                slaves_measured=2,
+                active_cores=3,
+                ops_per_core=4000,
+                perf_repeats=2,
+            ),
+        ),
+        workloads=SUITE[:4],
+        cache_dir=str(tmp_path / "store"),
+        workers=2,
+    )
+    with Supervisor(config, port=0, workers=2) as sup:
+        base = f"http://{sup.host}:{sup.port}"
+        matrix: dict = {}
+        collector = threading.Thread(
+            target=lambda: matrix.update(
+                ServiceClient(base, timeout=600.0).matrix()
+            )
+        )
+        collector.start()
+        time.sleep(0.5)  # let the pool fork and start its agents
+        doc = ServiceClient(base, timeout=63.0).profile(
+            seconds=3.0, interval_ms=5.0
+        )
+        collector.join(timeout=600.0)
+    assert not collector.is_alive()
+    assert len(matrix.get("workloads", [])) == len(config.workloads)
+
+    processes = doc.get("processes", [])
+    assert len(processes) >= 3
+    assert {"server", "pool"} <= {p.get("role") for p in processes}
+    bounds = dict(min_samples=200, min_span_fraction=0.9)
+    assert validate_profile(doc, **bounds) == []
+    assert validate_profile(json.loads(json.dumps(doc)), **bounds) == []
+    pool_busy = sum(
+        count
+        for spans, _frames, count, idle in doc["stacks"]
+        if not idle and spans and spans[0].startswith("pool:")
+    )
+    assert pool_busy >= 1

@@ -18,7 +18,7 @@ from repro.cli import main as cli_main
 from repro.cluster.collection import CollectionConfig
 from repro.cluster.testbed import MeasurementConfig
 from repro.errors import ServiceError
-from repro.obs.prof import validate_profile
+from repro.obs.prof import PROFILE_SCHEMA, validate_profile
 from repro.obs.trace import Tracer, tracing
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceConfig, serve
@@ -209,6 +209,16 @@ def test_cli_profile_captures_and_renders(server, tmp_path, capsys):
     assert validate_profile(doc) == []
     flame = out_flame.read_text()
     assert "<svg" in flame and "<script" not in flame
+
+
+def test_cli_profile_rejects_a_torn_document(monkeypatch, capsys):
+    torn = {
+        "schema": PROFILE_SCHEMA, "kind": "cpu-profile", "interval_ms": 5.0,
+        "duration_s": 1.0, "samples": 5, "stacks": [[["svc"], ["a.py:f"], 3, 0]],
+    }
+    monkeypatch.setattr(ServiceClient, "profile", lambda self, **kw: torn)
+    assert cli_main(["profile", "--url", "http://127.0.0.1:9"]) == 1
+    assert "stacks sum to 3" in capsys.readouterr().err
 
 
 def test_cli_status_ok_against_a_live_fleet(server, capsys):

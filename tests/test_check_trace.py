@@ -1,21 +1,17 @@
-"""Unit tests for the trace validator tool (tools/check_trace.py)."""
+"""Unit tests for the Chrome trace validator and ``repro trace``'s exit code."""
 
-import importlib.util
 import json
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
+from repro.cli import _write_trace
+from repro.obs.trace import validate_trace
 
-spec = importlib.util.spec_from_file_location(
-    "check_trace", REPO_ROOT / "tools" / "check_trace.py"
-)
-check_trace_module = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(check_trace_module)
 
-check_trace = check_trace_module.check_trace
-check_duration_nesting = check_trace_module.check_duration_nesting
-check_fleet_metadata = check_trace_module.check_fleet_metadata
-main = check_trace_module.main
+def _nesting(events):
+    return validate_trace({"traceEvents": events})
+
+
+def _labels(events):
+    return validate_trace({"traceEvents": events}, require_process_names=True)
 
 
 def _event(ph="X", name="work", ts=0.0, pid=1, tid=1, **extra):
@@ -31,16 +27,16 @@ def _event(ph="X", name="work", ts=0.0, pid=1, tid=1, **extra):
 class TestStructuralChecks:
     def test_valid_trace_passes(self):
         document = {"traceEvents": [_event(), _event(ph="i", ts=2.0)]}
-        assert check_trace(document) == []
+        assert validate_trace(document) == []
 
     def test_negative_duration_rejected(self):
         document = {"traceEvents": [_event(dur=-1.0)]}
-        problems = check_trace(document)
+        problems = validate_trace(document)
         assert any("dur" in p for p in problems)
 
     def test_unknown_phase_rejected(self):
         document = {"traceEvents": [_event(ph="Q")]}
-        assert any("'ph'" in p for p in check_trace(document))
+        assert any("'ph'" in p for p in validate_trace(document))
 
 
 class TestDurationNesting:
@@ -51,16 +47,16 @@ class TestDurationNesting:
             _event(ph="E", name="inner", ts=2.0),
             _event(ph="E", name="outer", ts=3.0),
         ]
-        assert check_duration_nesting(events) == []
+        assert _nesting(events) == []
 
     def test_end_without_begin_fails(self):
         events = [_event(ph="E", name="orphan", ts=1.0)]
-        problems = check_duration_nesting(events)
+        problems = _nesting(events)
         assert any("no open 'B'" in p for p in problems)
 
     def test_unclosed_begin_fails(self):
         events = [_event(ph="B", name="leak", ts=0.0)]
-        problems = check_duration_nesting(events)
+        problems = _nesting(events)
         assert any("never closed" in p for p in problems)
 
     def test_mismatched_names_fail(self):
@@ -68,7 +64,7 @@ class TestDurationNesting:
             _event(ph="B", name="alpha", ts=0.0),
             _event(ph="E", name="beta", ts=1.0),
         ]
-        problems = check_duration_nesting(events)
+        problems = _nesting(events)
         assert any("closes 'B'" in p for p in problems)
 
     def test_backwards_timestamp_fails(self):
@@ -76,7 +72,7 @@ class TestDurationNesting:
             _event(ph="B", name="a", ts=5.0),
             _event(ph="E", name="a", ts=3.0),
         ]
-        problems = check_duration_nesting(events)
+        problems = _nesting(events)
         assert any("negative duration" in p or "backwards" in p for p in problems)
 
     def test_interleaved_threads_keep_separate_stacks(self):
@@ -86,14 +82,14 @@ class TestDurationNesting:
             _event(ph="E", name="t1-span", ts=1.0, tid=1),
             _event(ph="E", name="t2-span", ts=1.5, tid=2),
         ]
-        assert check_duration_nesting(events) == []
+        assert _nesting(events) == []
 
     def test_cross_thread_imbalance_still_fails(self):
         events = [
             _event(ph="B", name="span", ts=0.0, tid=1),
             _event(ph="E", name="span", ts=1.0, tid=2),  # wrong thread
         ]
-        problems = check_duration_nesting(events)
+        problems = _nesting(events)
         assert len(problems) == 2  # orphan E on tid 2, unclosed B on tid 1
 
 
@@ -107,22 +103,22 @@ def _meta(name, label, pid=1, tid=0):
 class TestMetadataEvents:
     def test_metadata_phase_accepted_without_ts(self):
         document = {"traceEvents": [_meta("process_name", "server"), _event()]}
-        assert check_trace(document) == []
+        assert validate_trace(document) == []
 
     def test_lane_metadata_needs_nonempty_args_name(self):
         document = {"traceEvents": [_meta("process_name", "")]}
-        problems = check_trace(document)
+        problems = validate_trace(document)
         assert any("args.name" in p for p in problems)
 
     def test_lane_metadata_needs_args_at_all(self):
         event = {"name": "thread_name", "ph": "M", "pid": 1, "tid": 1}
-        problems = check_trace({"traceEvents": [event]})
+        problems = validate_trace({"traceEvents": [event]})
         assert any("args.name" in p for p in problems)
 
     def test_other_metadata_names_unconstrained(self):
         event = {"name": "num_cpus", "ph": "M", "pid": 1, "tid": 0,
                  "args": {"number": 8}}
-        assert check_trace({"traceEvents": [event, _event()]}) == []
+        assert validate_trace({"traceEvents": [event, _event()]}) == []
 
 
 class TestFleetChecks:
@@ -139,20 +135,20 @@ class TestFleetChecks:
 
     def test_min_pids_satisfied(self):
         document = {"traceEvents": self._fleet_events()}
-        assert check_trace(document, min_pids=2) == []
+        assert validate_trace(document, min_pids=2) == []
 
     def test_min_pids_counts_real_events_only(self):
         # Metadata for pid 2 but no real events there: still one pid.
         events = [_event(pid=1), _meta("process_name", "ghost", pid=2)]
-        problems = check_trace({"traceEvents": events}, min_pids=2)
+        problems = validate_trace({"traceEvents": events}, min_pids=2)
         assert any("at least 2 pids" in p for p in problems)
 
     def test_labeled_fleet_passes_metadata_check(self):
-        assert check_fleet_metadata(self._fleet_events()) == []
+        assert _labels(self._fleet_events()) == []
 
     def test_missing_process_name_reported(self):
         events = [_event(pid=7, tid=1), _meta("thread_name", "main", pid=7, tid=1)]
-        problems = check_fleet_metadata(events)
+        problems = _labels(events)
         assert problems == ["pid 7: has events but no 'process_name' metadata"]
 
     def test_missing_thread_name_reported_per_thread(self):
@@ -162,58 +158,53 @@ class TestFleetChecks:
             _event(pid=1, tid=1),
             _event(pid=1, tid=2, ts=1.0),  # tid 2 unlabeled
         ]
-        problems = check_fleet_metadata(events)
+        problems = _labels(events)
         assert len(problems) == 1 and "tid 2" in problems[0]
 
     def test_require_process_names_via_main(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
-        path.write_text(json.dumps({"traceEvents": [_event(pid=3)]}))
-        code = main([str(path), "--require-process-names"])
-        assert code == 1
+        document = {"traceEvents": [_event(pid=3)]}
+        assert _write_trace(document, str(path), require_process_names=True) == 1
         assert "process_name" in capsys.readouterr().err
+        assert not path.exists()
 
 
 class TestMainExitCodes:
-    def _write(self, tmp_path, document):
-        path = tmp_path / "trace.json"
-        path.write_text(json.dumps(document))
-        return str(path)
+    """The exit code ``repro trace`` returns for the document it exports."""
 
-    def test_valid_trace_exits_zero(self, tmp_path, capsys):
-        path = self._write(
-            tmp_path,
-            {"traceEvents": [
-                _event(),
-                _event(ph="B", name="d", ts=1.0),
-                _event(ph="E", name="d", ts=2.0),
-            ]},
-        )
-        assert main([path]) == 0
-        assert "OK" in capsys.readouterr().out
+    def _write(self, tmp_path, document, **bounds):
+        path = tmp_path / "trace.json"
+        code = _write_trace(document, str(path), **bounds)
+        assert path.exists() == (code == 0)
+        return code
+
+    def test_valid_trace_exits_zero(self, tmp_path):
+        document = {"traceEvents": [
+            _event(),
+            _event(ph="B", name="d", ts=1.0),
+            _event(ph="E", name="d", ts=2.0),
+        ]}
+        assert self._write(tmp_path, document) == 0
+        written = json.loads((tmp_path / "trace.json").read_text())
+        assert written == document
 
     def test_invalid_nesting_exits_nonzero(self, tmp_path, capsys):
-        path = self._write(
-            tmp_path, {"traceEvents": [_event(ph="E", name="x", ts=1.0)]}
-        )
-        assert main([path]) == 1
+        document = {"traceEvents": [_event(ph="E", name="x", ts=1.0)]}
+        assert self._write(tmp_path, document) == 1
         assert "no open 'B'" in capsys.readouterr().err
 
-    def test_non_monotone_duration_exits_nonzero(self, tmp_path, capsys):
-        path = self._write(
-            tmp_path,
-            {"traceEvents": [
-                _event(ph="B", name="x", ts=9.0),
-                _event(ph="E", name="x", ts=1.0),
-            ]},
-        )
-        assert main([path]) == 1
+    def test_non_monotone_duration_exits_nonzero(self, tmp_path):
+        document = {"traceEvents": [
+            _event(ph="B", name="x", ts=9.0),
+            _event(ph="E", name="x", ts=1.0),
+        ]}
+        assert self._write(tmp_path, document) == 1
 
     def test_min_events_enforced(self, tmp_path):
-        path = self._write(tmp_path, {"traceEvents": []})
-        assert main([path, "--min-events", "1"]) == 1
+        assert self._write(tmp_path, {"traceEvents": []}) == 1
 
     def test_real_exporter_output_passes(self, tmp_path):
-        """The tool must accept what repro's own tracer exports."""
+        """The validator accepts what repro's own tracer exports."""
         from repro.obs.trace import Tracer, tracing, span
 
         tracer = Tracer()
@@ -221,5 +212,4 @@ class TestMainExitCodes:
             with span("outer", "test"):
                 with span("inner", "test"):
                     pass
-        path = self._write(tmp_path, tracer.to_chrome())
-        assert main([path, "--min-events", "2"]) == 0
+        assert self._write(tmp_path, tracer.to_chrome(), min_events=2) == 0

@@ -1,9 +1,14 @@
 """CLI smoke tests: exit codes and key output lines for every subcommand
 that runs in seconds, plus the friendly unknown-workload path."""
 
+import json
+import logging
+
 import pytest
 
 from repro.cli import EXIT_USAGE, main
+from repro.obs.trace import Tracer, validate_trace
+from tests.analysis.test_dashboard import _audit
 
 
 class TestList:
@@ -77,7 +82,10 @@ class TestReport:
         assert code == 0
         html_doc = out_path.read_text()
         assert html_doc.startswith("<!DOCTYPE html>")
-        assert "<script" not in html_doc
+        audit = _audit(html_doc)
+        assert audit.scripts == 0
+        assert audit.external == []
+        assert audit.tables >= 1
         assert "Suite heatmap" in html_doc
         out = capsys.readouterr().out
         assert "2 timelines" in out
@@ -148,6 +156,42 @@ class TestServe:
         assert "/suite/matrix" in out
 
 
+class TestTrace:
+    ARGS = ["--scale", "0.3", "--cores", "2", "--ops", "1200"]
+
+    def test_exported_trace_validates(self, tmp_path, capsys):
+        out = tmp_path / "trace.json"
+        root = logging.getLogger("repro")
+        level = root.level
+        try:
+            code = main(["--log-level", "debug", "trace", "H-WordCount",
+                         *self.ARGS, "--out", str(out)])
+        finally:  # drop the handler bound to the captured stderr
+            for handler in list(root.handlers):
+                if getattr(handler, "_repro_obs", False):
+                    root.removeHandler(handler)
+            root.setLevel(level)
+        assert code == 0
+        assert "spans ->" in capsys.readouterr().out
+        assert validate_trace(json.loads(out.read_text()), min_events=5) == []
+
+    def test_invalid_export_exits_1(self, tmp_path, capsys, monkeypatch):
+        export = Tracer.to_chrome
+
+        def unbalanced(self, instance=None):
+            document = export(self, instance)
+            document["traceEvents"].append(
+                {"name": "open", "ph": "B", "ts": 0.0, "pid": 1, "tid": 1}
+            )
+            return document
+
+        monkeypatch.setattr(Tracer, "to_chrome", unbalanced)
+        out = tmp_path / "trace.json"
+        assert main(["trace", "S-Grep", *self.ARGS, "--out", str(out)]) == 1
+        assert "never closed" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTraceMerge:
     def _spill(self, store, instance, role, pid, epoch):
         from repro.durable import write_json
@@ -168,8 +212,6 @@ class TestTraceMerge:
         )
 
     def test_merges_spills_into_one_trace(self, tmp_path, capsys):
-        import json
-
         store = tmp_path / "store"
         self._spill(store, "server-a", "server", 11, 100.0)
         self._spill(store, "pool-b", "pool", 22, 100.5)
@@ -180,6 +222,7 @@ class TestTraceMerge:
         merged = json.loads(out.read_text())
         pids = {e["pid"] for e in merged["traceEvents"] if e["ph"] == "X"}
         assert pids == {11, 22}
+        assert validate_trace(merged, require_process_names=True) == []
 
     def test_merge_with_no_spills_exits_2(self, tmp_path, capsys):
         assert (
