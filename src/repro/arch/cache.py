@@ -10,6 +10,7 @@ instrumentation layer synthesises from engine activity.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress, repeat
@@ -110,6 +111,57 @@ class CacheStats:
         return self.misses / self.accesses if self.accesses else 0.0
 
 
+class _FirstTouchSets(dict):
+    """A cache's sets keyed by index, each built on its first read.
+
+    After :meth:`record`, reading a missing index ``i`` builds the set
+    the eager fill would have left there: from each span, hottest first,
+    its lines of set ``i`` (``range(first + (i - first) % num_sets,
+    first + count, num_sets)``), up to ``assoc`` lines in all, stored
+    clean and least recently used first.  Those lines are ``i`` plus
+    offsets that change only where ``i`` crosses a span's first or end
+    set, so :meth:`record` works the offsets out once for each run of
+    set indices between such cuts, and a build is one lookup and one
+    ``dict.fromkeys``.
+    """
+
+    __slots__ = ("num_sets", "assoc", "cuts", "offsets")
+
+    def __init__(self, num_sets: int, assoc: int) -> None:
+        super().__init__()
+        self.num_sets = num_sets
+        self.assoc = assoc
+        self.record([])
+
+    def record(self, spans: list[tuple[int, int]]) -> None:
+        """Drop every built set and build from ``spans`` (``(first_line,
+        count)``, coldest first) from now on."""
+        self.clear()
+        num_sets, assoc = self.num_sets, self.assoc
+        hottest = spans[::-1]
+        self.cuts = sorted(
+            {0}.union(
+                *((first % num_sets, (first + count) % num_sets)
+                  for first, count in hottest)
+            )
+        )
+        self.offsets: list[tuple[int, ...]] = []
+        for index in self.cuts:
+            lines: list[int] = []
+            for first, count in hottest:
+                lines += range(
+                    first + (index - first) % num_sets, first + count, num_sets
+                )[:assoc]
+            self.offsets.append(
+                tuple(line - index for line in lines[assoc - 1 :: -1])
+            )
+
+    def __missing__(self, index: int) -> dict[int, bool]:
+        offsets = self.offsets[bisect_right(self.cuts, index) - 1]
+        cache_set = self[index] = dict.fromkeys(map(index.__add__, offsets), False)
+        return cache_set
+
+
 class SetAssociativeCache:
     """A write-back, write-allocate set-associative cache with true LRU.
 
@@ -117,6 +169,12 @@ class SetAssociativeCache:
     insertion order is the LRU order, least recently used first: a hit
     re-inserts its line at the end (``s[line] = s.pop(line)``) and the
     victim is the first key.
+
+    ``_sets`` is a list of every set, or with ``first_touch`` a
+    :class:`_FirstTouchSets` that builds each set from the recorded
+    pre-warm spans when something first reads it, so a workload pays
+    only for the sets its samples reach.  Either way ``_sets[i]`` is set
+    ``i``.
     """
 
     __slots__ = (
@@ -130,7 +188,7 @@ class SetAssociativeCache:
         "_sets",
     )
 
-    def __init__(self, config: CacheConfig) -> None:
+    def __init__(self, config: CacheConfig, first_touch: bool = False) -> None:
         self.config = config
         self.stats = CacheStats()
         self._num_sets = config.num_sets
@@ -142,7 +200,11 @@ class SetAssociativeCache:
         self._line_shift = config.line_size.bit_length() - 1
         self._assoc = config.associativity
         self._write_back = config.write_back
-        self._sets: list[dict[int, bool]] = [{} for _ in range(config.num_sets)]
+        self._sets: list[dict[int, bool]] | _FirstTouchSets = (
+            _FirstTouchSets(self._num_sets, self._assoc)
+            if first_touch
+            else [{} for _ in range(config.num_sets)]
+        )
 
     def line_address(self, addr: int) -> int:
         """Return the line-aligned address containing byte ``addr``."""
@@ -206,20 +268,31 @@ class SetAssociativeCache:
         pre-warm protocol, hundreds of thousands of lines.  Pre-warming
         fills an empty cache from disjoint spans, and then each set simply
         ends with the last ``assoc`` lines installed into it, clean, in
-        install order, so only those lines are written.  A cache that
-        already holds lines, overlapping spans, or more than 255 ways (the
-        per-set way counters are bytes) take the per-line path.
+        install order.  A first-touch cache only records the spans, and
+        builds each set from them when it is first read; any other cache
+        writes only those lines, in one pass.  A cache that already holds
+        lines or spans, overlapping spans, or more than 255 ways on an
+        eager cache (the one pass counts free ways in bytes) take the
+        per-line path.
         """
         sets = self._sets
         num_sets = self._num_sets
         ordered = sorted(spans)
-        if self._assoc > 255 or any(sets) or any(
+        first_touch = isinstance(sets, _FirstTouchSets)
+        if first_touch:
+            per_line = any(sets.offsets) or any(sets.values())
+        else:
+            per_line = self._assoc > 255 or any(sets)
+        if per_line or any(
             first + count > next_first
             for (first, count), (next_first, _) in zip(ordered, ordered[1:])
         ):
             for first_line, count in spans:
                 for line in range(first_line + count - 1, first_line - 1, -1):
                     self.install_line(line)
+            return
+        if first_touch:
+            sets.record(spans)
             return
         # Walk the lines hottest first (spans last to first, each upward
         # from its first line) in blocks that never wrap past the last
@@ -285,14 +358,21 @@ class SetAssociativeCache:
         return False
 
     def flush(self) -> None:
-        """Empty the cache, keeping statistics."""
-        for cache_set in self._sets:
+        """Empty the cache, keeping statistics.  A first-touch cache drops
+        its built sets and its spans at once."""
+        sets = self._sets
+        if isinstance(sets, _FirstTouchSets):
+            sets.record([])
+            return
+        for cache_set in sets:
             cache_set.clear()
 
     @property
     def resident_lines(self) -> int:
-        """Number of lines currently resident."""
-        return sum(len(cache_set) for cache_set in self._sets)
+        """Number of lines currently resident (builds every first-touch
+        set)."""
+        sets = self._sets
+        return sum(len(sets[index]) for index in range(self._num_sets))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cfg = self.config

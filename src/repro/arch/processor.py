@@ -159,8 +159,12 @@ class Processor:
 
     def __init__(self, config: ProcessorConfig | None = None) -> None:
         self.config = config or ProcessorConfig()
+        # A workload's samples reach a few thousand of the L3's 12,288
+        # sets, but ~95% of each private cache's, so only the L3 builds
+        # its pre-warmed sets on first touch.
         self.l3 = SetAssociativeCache(
-            CacheConfig("L3", self.config.l3_size, self.config.l3_associativity)
+            CacheConfig("L3", self.config.l3_size, self.config.l3_associativity),
+            first_touch=True,
         )
         self.directory = CoherenceDirectory(self.config.cores_per_socket)
         self.cores = [
@@ -328,7 +332,9 @@ class Processor:
     ) -> None:
         """Flush all state, then pre-warm the active cores once with the
         union footprint of ``profiles``: each now-empty cache is filled
-        once from its :meth:`prewarm_spans` list."""
+        once from its :meth:`prewarm_spans` list.  The private caches are
+        written in full; the L3 only records its spans, and builds each
+        set when the samples first reach it."""
         self.reset()
         for cache, spans in self.prewarm_spans(profiles, active_cores).items():
             cache.fill(spans)
@@ -362,7 +368,8 @@ class Processor:
         return spans
 
     def reset(self) -> None:
-        """Flush all cores, the L3 and the coherence directory."""
+        """Flush all cores, the L3 (one ``clear`` of its built sets and
+        spans) and the coherence directory."""
         for core in self.cores:
             core.reset()
         self.l3.flush()

@@ -9,9 +9,12 @@ from repro.errors import ConfigurationError
 from tests.arch.reference_engine import install_spans
 
 
-def small_cache(assoc: int = 2, sets: int = 4, line: int = 64) -> SetAssociativeCache:
+def small_cache(
+    assoc: int = 2, sets: int = 4, line: int = 64, first_touch: bool = False
+) -> SetAssociativeCache:
     return SetAssociativeCache(
-        CacheConfig("test", size=assoc * sets * line, associativity=assoc, line_size=line)
+        CacheConfig("test", size=assoc * sets * line, associativity=assoc, line_size=line),
+        first_touch=first_touch,
     )
 
 
@@ -191,8 +194,10 @@ class TestPackedProtocol:
 
 
 def set_states(cache: SetAssociativeCache) -> list:
-    """Every set's (line, dirty) pairs in LRU order."""
-    return [list(cache_set.items()) for cache_set in cache._sets]
+    """Every set's (line, dirty) pairs in LRU order, in index order."""
+    return [
+        list(cache._sets[index].items()) for index in range(cache.config.num_sets)
+    ]
 
 
 @settings(max_examples=200, deadline=None)
@@ -206,14 +211,16 @@ def set_states(cache: SetAssociativeCache) -> list:
         max_size=5,
     ),
     preinstalled=st.lists(st.integers(min_value=0, max_value=30_000), max_size=5),
+    first_touch=st.booleans(),
 )
-def test_fill_matches_per_line_installs(geometry, spans, preinstalled):
+def test_fill_matches_per_line_installs(geometry, spans, preinstalled, first_touch):
     """``fill`` ends in the per-line state — keys, LRU order and dirty
     bits — for spans shorter than the set count, up to and past 4x the
     capacity, overlapping or not, into an empty or a used cache, on mask-
-    and modulo-indexed geometries."""
+    and modulo-indexed geometries, written in one pass or built on first
+    touch."""
     assoc, sets = geometry
-    fill_cache = small_cache(assoc=assoc, sets=sets)
+    fill_cache = small_cache(assoc=assoc, sets=sets, first_touch=first_touch)
     line_cache = small_cache(assoc=assoc, sets=sets)
     for cache in (fill_cache, line_cache):
         for line in preinstalled:

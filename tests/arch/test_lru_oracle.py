@@ -158,16 +158,18 @@ def cache_ops(assoc: int):
         lambda geometry: st.tuples(st.just(geometry), cache_ops(geometry[1]))
     ),
     write_back=st.booleans(),
+    first_touch=st.booleans(),
 )
-def test_cache_matches_ordered_dict_model(case, write_back):
+def test_cache_matches_ordered_dict_model(case, write_back, first_touch):
     """Mask- and modulo-indexed geometries (sets x ways), write-back and
-    write-through, from an empty cache through any mix of demand
-    accesses, prefetch installs, fills (the one-pass path on an empty
-    cache, the per-line path otherwise), invalidations, write-back
-    landings and flushes."""
+    write-through, eager or first-touch sets, from an empty cache through
+    any mix of demand accesses, prefetch installs, fills (the one-pass or
+    recorded path on an empty cache, the per-line path otherwise),
+    invalidations, write-back landings and flushes."""
     (num_sets, assoc), ops = case
     cache = SetAssociativeCache(
-        CacheConfig("oracle", num_sets * assoc * 64, assoc, write_back=write_back)
+        CacheConfig("oracle", num_sets * assoc * 64, assoc, write_back=write_back),
+        first_touch=first_touch,
     )
     model = LruCacheModel(num_sets, assoc, write_back)
     for op, arg in ops:
@@ -196,7 +198,9 @@ def test_cache_matches_ordered_dict_model(case, write_back):
                 model_set = model._set(line)
                 assert cache.line_resident(line) == (line in model_set)
                 assert cache.is_dirty(line) == model_set.get(line, False)
-        assert ordered_items(cache._sets) == ordered_items(model.sets)
+        assert ordered_items(
+            cache._sets[index] for index in range(num_sets)
+        ) == ordered_items(model.sets)
         assert cache.stats == model.stats
     assert cache.resident_lines == sum(map(len, model.sets))
 

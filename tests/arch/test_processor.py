@@ -127,7 +127,10 @@ def cache_states(processor: Processor, active_cores: int) -> list:
         for cache in (core.l1i, core.l1d, core.l2)
     ]
     return [
-        [list(cache_set.items()) for cache_set in cache._sets]
+        [
+            list(cache._sets[index].items())
+            for index in range(cache.config.num_sets)
+        ]
         for cache in caches
     ]
 
@@ -166,6 +169,20 @@ def test_start_workload_fill_equals_per_line_prewarm(
     monkeypatch.setattr(SetAssociativeCache, "install_line", no_per_line_fallback)
     filled.start_workload(phases, active_cores)
     assert cache_states(filled, active_cores) == cache_states(per_line, active_cores)
+
+
+def test_l3_builds_only_the_sets_a_sample_reaches():
+    """Pre-warm records the L3's spans without building a set; a short
+    workload then builds only the sets its samples reach."""
+    processor = Processor()
+    phases = [profile(data_working_set=4 << 20, shared_fraction=0.3,
+                      shared_working_set=2 << 20)]
+    processor.start_workload(phases, active_cores=4)
+    assert len(processor.l3._sets) == 0
+    processor.run_workload(
+        phases, np.random.default_rng(10), active_cores=4, ops_per_core=500
+    )
+    assert 0 < len(processor.l3._sets) < processor.l3.config.num_sets == 12_288
 
 
 def test_events_from_sample_scaling():

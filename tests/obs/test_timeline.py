@@ -1,6 +1,7 @@
 """Tests for the time-resolved interval sampler and its series."""
 
 import json
+import statistics
 
 import pytest
 
@@ -25,6 +26,10 @@ FAST = MeasurementConfig(slaves_measured=1, active_cores=2, ops_per_core=1500)
 #: Acceptance bar: sampling (interval sampler on) must cost less than
 #: this share of an unsampled characterization.
 TIMELINE_OVERHEAD_BUDGET_PCT = 5.0
+#: Interleaved off/on pairs behind the overhead gate's paired median.
+#: One pair's ratio spreads +-30% on a shared 2-vCPU host; the median of
+#: 15 still spread ~2.7% (one of ten pinned runs read 5.7%), of 75 ~1.2%.
+PAIRS = 75
 
 
 def _characterize(name="S-Grep", timeline=None, seed=5):
@@ -234,20 +239,27 @@ class TestEndToEnd:
         assert sampled.metrics == plain.metrics
         assert sampled.per_slave == plain.per_slave
 
-        # Each run is short (a few tenths of a second) and shared hosts
+        # Each run is short (about 0.1 s on a 2-vCPU host) and shared hosts
         # jitter +-20%, more than the budget, so off/on are timed in
-        # interleaved pairs (both legs see the same host weather) and the
-        # overhead is the cleanest pair's ratio, the paired analogue of
-        # ``best_of``.  Two pairs left one run in ten to jitter alone.
-        pairs = [
-            (best_of(characterize, 1), best_of(lambda: characterize(config), 1))
-            for _ in range(5)
-        ]
-        off_s, on_s = min(pairs, key=lambda pair: pair[1] / pair[0])
-        overhead_pct = max(0.0, 100.0 * (on_s - off_s) / off_s)
+        # interleaved pairs (both legs see the same host weather; the
+        # leg that runs first alternates) and the overhead is the median
+        # of the pairs' on/off ratios.  Unlike the cleanest pair's ratio,
+        # the median does not follow the low tail of jitter, so a cost
+        # of a few percent shows; it is not clamped, and may read < 0.
+        ratios = []
+        for pair in range(PAIRS):
+            if pair % 2:
+                on_s = best_of(lambda: characterize(config), 1)
+                off_s = best_of(characterize, 1)
+            else:
+                off_s = best_of(characterize, 1)
+                on_s = best_of(lambda: characterize(config), 1)
+            ratios.append(on_s / off_s)
+        overhead_pct = 100.0 * (statistics.median(ratios) - 1.0)
         assert overhead_pct < TIMELINE_OVERHEAD_BUDGET_PCT, (
-            f"sampled {on_s:.4f}s vs unsampled {off_s:.4f}s = "
-            f"{overhead_pct:.4f}% ({len(sampled.timeline)} samples)"
+            f"median sampled/unsampled over {PAIRS} pairs = "
+            f"{overhead_pct:+.3f}% (ratios {min(ratios):.3f}-"
+            f"{max(ratios):.3f}; {len(sampled.timeline)} samples)"
         )
 
     def test_collected_series_reconciles_and_verifies(self):
