@@ -21,11 +21,11 @@ a serial run, regardless of worker count or scheduling.
 The fan-out itself runs on a persistent worker pool
 (:mod:`repro.cluster.pool`): workers are forked once and build their
 cluster once, work items are ``(name, store_key)`` pairs, and each
-worker persists its full payload to the result store itself — only
-compact metric vectors, correctness checks and store receipts travel
-back through the queue.  Heavy fields (the run trace, per-slave detail,
-flight events, timelines) hydrate lazily from the store on first
-access.
+result travels back whole as a store payload, so parallel and serial
+collections return the same :class:`WorkloadCharacterization` class.
+With a store, each worker also writes its object file and the parent
+adopts it into the index, so persisting the suite afterwards only
+writes the suite entry.
 """
 
 from __future__ import annotations
@@ -38,11 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cluster.pool import (
-    LazyWorkloadCharacterization,
-    get_pool,
-    pool_spill_dir,
-)
+from repro.cluster.pool import get_pool
 from repro.cluster.testbed import Cluster, MeasurementConfig, WorkloadCharacterization
 from repro.core.dataset import WorkloadMetricMatrix
 from repro.errors import AnalysisError, CollectionCancelled, StackExecutionError
@@ -229,11 +225,7 @@ def _characterize_with_retries(
 
 
 def _verify_characterization(characterization: WorkloadCharacterization) -> None:
-    """Raise if any correctness self-check of the run failed.
-
-    Reads :attr:`WorkloadCharacterization.correctness_checks` — pool
-    results answer from their compact checks without hydrating the run.
-    """
+    """Raise if any correctness self-check of the run failed."""
     failed = {
         name: value
         for name, value in characterization.correctness_checks.items()
@@ -297,20 +289,20 @@ def _collect_parallel(
     progress: ProgressFn | None,
     cancel: threading.Event | None,
     on_workload: WorkloadFn | None = None,
-    store_root: str | Path | None = None,
+    store=None,
     correlation_id: str | None = None,
-) -> list[WorkloadCharacterization]:
+) -> tuple[list[WorkloadCharacterization], set[str]]:
     """Fan the workloads over a persistent worker pool, in suite order.
 
     Workers live across calls (the cluster is built once per worker),
-    work items are just ``(name, store_key)`` pairs, and each worker
-    persists its full payload itself — only the 45 metrics, the
-    correctness checks and a store receipt travel back through the
-    queue.  The parent adopts each receipt into the store index (single
-    index writer) and wraps it in a
-    :class:`~repro.cluster.pool.LazyWorkloadCharacterization`; results
-    land in suite order regardless of completion order, so the merged
-    matrix is bit-identical to a serial run.
+    work items are just ``(name, store_key)`` pairs, and each result
+    comes back as a full store payload that the parent rebuilds.  With a
+    ``store``, each worker also writes its object file and the parent
+    adopts the receipt into the index (single index writer); the adopted
+    keys are returned alongside the characterizations so persisting the
+    suite does not write them again.  Results land in suite order
+    regardless of completion order, so the merged matrix is
+    bit-identical to a serial run.
 
     Cancellation is cooperative: dispatch stops, in-flight workloads
     drain (the pool stays healthy), then
@@ -318,11 +310,8 @@ def _collect_parallel(
     that *dies* (as opposed to reporting a failure) raises
     :class:`~repro.errors.WorkerPoolError` — never a hang.
     """
-    from repro.service.store import ResultStore
+    from repro.service.store import characterization_from_payload
 
-    if store_root is None:
-        store_root = pool_spill_dir()
-    store_root = str(Path(store_root))
     init = {
         "scale": config.scale,
         "seed": config.seed,
@@ -331,35 +320,30 @@ def _collect_parallel(
         "retries": config.workload_retries,
         "timeline": config.timeline,
         "flight_capacity": config.flight_capacity,
-        "store_root": str(store_root),
+        "store_root": str(store.root) if store is not None else None,
     }
     pool = get_pool(workers, init, _pool_token(config))
-    parent_store = ResultStore(store_root)
+    items = [
+        (workload.name, workload_store_key(config, workload.name))
+        for workload in workloads
+    ]
     characterizations: list[WorkloadCharacterization] = []
+    adopted: set[str] = set()
 
-    def land(index: int, compact) -> None:
-        parent_store.adopt(compact.store_key, compact.digest, compact.nbytes)
-        characterizations.append(
-            LazyWorkloadCharacterization(
-                name=compact.name,
-                metrics=compact.metrics,
-                checks=compact.checks,
-                attempts=compact.attempts,
-                faults=compact.faults,
-                store_root=store_root,
-                store_key=compact.store_key,
-            )
-        )
+    def land(index: int, result: tuple) -> None:
+        payload, receipt = result
+        if receipt is not None:
+            store_key = items[index][1]
+            store.adopt(store_key, *receipt)
+            adopted.add(store_key)
+        characterizations.append(characterization_from_payload(payload))
         if on_workload is not None:
             on_workload(characterizations[-1])
         if progress is not None:
             progress(len(characterizations), len(workloads))
 
     pool.run(
-        [
-            (workload.name, workload_store_key(config, workload.name))
-            for workload in workloads
-        ],
+        items,
         cancel=cancel,
         on_result=land,
         # Rides along on every task so the pool workers' trace spans
@@ -367,7 +351,7 @@ def _collect_parallel(
         # join client -> server -> job -> pool on it).
         meta={"correlation_id": correlation_id} if correlation_id else None,
     )
-    return characterizations
+    return characterizations, adopted
 
 
 def _hydrate_from_store(store, key: str, config: CollectionConfig):
@@ -405,19 +389,16 @@ def _persist_to_store(
     key: str,
     config: CollectionConfig,
     result: SuiteCharacterization,
+    adopted: set[str],
 ) -> None:
+    """Write the suite entry, and every workload entry not ``adopted``
+    already (pool workers wrote those objects themselves)."""
     from repro.service.store import characterization_to_payload
 
     for characterization in result.characterizations:
         wkey = workload_store_key(config, characterization.name)
-        if isinstance(
-            characterization, LazyWorkloadCharacterization
-        ) and characterization.persisted_in(store.root, wkey):
-            # The pool worker already wrote this exact object and the
-            # parent adopted it; re-putting would hydrate the full
-            # payload just to rewrite identical bytes.
-            continue
-        store.put(wkey, characterization_to_payload(characterization))
+        if wkey not in adopted:
+            store.put(wkey, characterization_to_payload(characterization))
     store.put(
         key,
         {
@@ -509,13 +490,11 @@ def characterize_suite(
     if correlation_id:
         span_args["correlation_id"] = correlation_id
     with obs_span("suite-collection", "suite", **span_args):
+        adopted: set[str] = set()
         if workers > 1 and len(workloads) > 1:
-            # Workers spill full payloads into the persistent store when
-            # one is configured (adoption doubles as persistence), else
-            # into the pool-owned temporary store.
-            characterizations = _collect_parallel(
+            characterizations, adopted = _collect_parallel(
                 workloads, config, workers, progress, cancel, on_workload,
-                store_root=cache_dir, correlation_id=correlation_id,
+                store=store, correlation_id=correlation_id,
             )
         else:
             characterizations = _collect_serial(
@@ -534,5 +513,5 @@ def characterize_suite(
     )
     _MEMO[key] = result
     if store is not None:
-        _persist_to_store(store, key, config, result)
+        _persist_to_store(store, key, config, result, adopted)
     return result

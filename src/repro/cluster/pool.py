@@ -1,12 +1,9 @@
 """Persistent worker pool for parallel suite collection.
 
-The original parallel path paid three per-workload taxes: it spawned a
+The original parallel path paid two per-workload taxes: it spawned a
 fresh worker process (fork + full interpreter state) per workload batch,
-built a fresh five-node :class:`~repro.cluster.testbed.Cluster` inside
-every task, and pickled each *complete* characterization — metrics,
-per-slave detail, the whole execution trace, flight-recorder events and
-timeline — back through the result queue.  This module replaces that
-with long-lived workers and a compact wire protocol:
+and built a fresh five-node :class:`~repro.cluster.testbed.Cluster`
+inside every task.  This module replaces that with long-lived workers:
 
 * **Workers are persistent.**  A :class:`CollectionPool` forks its
   workers once; each builds one :class:`Cluster` (and resolves its
@@ -18,18 +15,16 @@ with long-lived workers and a compact wire protocol:
   meta)`` — the workload name, the store key the result should land
   under, and an observational annotation dict (correlation ids for the
   worker's trace spans).  The config rode along at pool construction.
-* **Results are compact.**  The worker persists the full payload itself
-  (:meth:`ResultStore.put_object` — object file only, written
-  atomically) and ships back just the 45-metric mapping, the
-  correctness checks, the attempt/fault bookkeeping and the
-  ``(store_key, digest, nbytes)`` receipt.  The parent — the single
-  index writer — :meth:`ResultStore.adopt`\\ s each receipt, so
-  concurrent workers never race on ``index.json``.
-* **Heavy fields hydrate lazily.**  The parent wraps each receipt in a
-  :class:`LazyWorkloadCharacterization`: metrics and checks are
-  immediately available; ``run``/``per_slave``/``events``/``timeline``
-  load from the store on first access and are then cached on the
-  instance.
+* **Results travel whole.**  A worker ships back the full
+  :func:`~repro.service.store.characterization_to_payload` dict (the
+  32 suite payloads pickle to ~120 KB in total), which the parent
+  rebuilds with ``characterization_from_payload``.  With a store, the
+  worker also writes the object file itself
+  (:meth:`ResultStore.put_object`) and ships its ``(digest, nbytes)``
+  receipt; the parent — the single index writer —
+  :meth:`ResultStore.adopt`\\ s it, so concurrent workers never race
+  on ``index.json``.  Without a store a worker writes nothing to disk
+  and starts no telemetry agent.
 
 Lifecycle guarantees (pinned by ``tests/cluster/test_worker_pool.py``):
 
@@ -42,11 +37,6 @@ Lifecycle guarantees (pinned by ``tests/cluster/test_worker_pool.py``):
 * pools are singletons per ``(workers, config, store root)`` and are
   shut down at interpreter exit; results from an abandoned run carry a
   stale generation stamp and are discarded, never misattributed.
-
-When the collection has no persistent ``cache_dir``, payloads spill to
-a pool-owned temporary store that lives until interpreter exit (lazy
-results memoized by the collection layer may hydrate long after the
-collection returns).
 """
 
 from __future__ import annotations
@@ -55,15 +45,10 @@ import atexit
 import multiprocessing
 import os
 import queue
-import shutil
-import tempfile
 import threading
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass
-from pathlib import Path
 
-from repro.cluster.testbed import WorkloadCharacterization
 from repro.errors import (
     AnalysisError,
     CollectionCancelled,
@@ -75,11 +60,8 @@ from repro.obs.log import get_logger
 
 __all__ = [
     "CollectionPool",
-    "LazyWorkloadCharacterization",
-    "CompactResult",
     "get_pool",
     "shutdown_pools",
-    "pool_spill_dir",
     "CRASH_ENV",
 ]
 
@@ -102,120 +84,6 @@ _RERAISABLE = {
 }
 
 
-@dataclass(frozen=True)
-class CompactResult:
-    """What a worker ships back per workload (everything else is on disk).
-
-    Attributes:
-        name: Workload label.
-        metrics: The 45 Table II metric means.
-        checks: The run's correctness self-checks (so verification never
-            needs the full payload).
-        attempts: Whole-workload attempts the worker needed.
-        faults: Fault/recovery tally, or ``None`` without a fault plan.
-        store_key: Key the full payload was persisted under.
-        digest: Content hash of the persisted object (adoption receipt).
-        nbytes: Size of the persisted object in bytes.
-    """
-
-    name: str
-    metrics: dict[str, float]
-    checks: dict[str, float]
-    attempts: int
-    faults: dict | None
-    store_key: str
-    digest: str
-    nbytes: int
-
-
-class LazyWorkloadCharacterization(WorkloadCharacterization):
-    """A store-backed characterization: compact now, complete on demand.
-
-    Carries the metrics, checks and bookkeeping a collection actually
-    consumes inline; the heavy fields (``run``, ``per_slave``,
-    ``events``, ``events_capacity``, ``timeline``) hydrate from the
-    result store on first attribute access and are cached on the
-    instance afterwards, so an eager consumer sees an object
-    indistinguishable from a fresh serial characterization.
-    """
-
-    def __init__(
-        self,
-        *,
-        name: str,
-        metrics: dict[str, float],
-        checks: dict[str, float],
-        attempts: int,
-        faults: dict | None,
-        store_root: str | Path,
-        store_key: str,
-    ) -> None:
-        # The parent dataclass is frozen; bypass its __setattr__ the
-        # same way its generated __init__ does.
-        set_ = object.__setattr__
-        set_(self, "name", name)
-        set_(self, "metrics", dict(metrics))
-        set_(self, "attempts", int(attempts))
-        set_(self, "faults", faults)
-        set_(self, "_checks", dict(checks))
-        set_(self, "_store_root", str(store_root))
-        set_(self, "_store_key", store_key)
-
-    # -- hydration ------------------------------------------------------------
-
-    def _full(self) -> WorkloadCharacterization:
-        cached = self.__dict__.get("_full_cache")
-        if cached is None:
-            from repro.service.store import (
-                ResultStore,
-                characterization_from_payload,
-            )
-
-            payload = ResultStore(self._store_root).get(
-                self._store_key, touch=False
-            )
-            if payload is None:
-                raise StoreError(
-                    f"{self.name}: persisted characterization "
-                    f"{self._store_key!r} vanished from {self._store_root}"
-                )
-            cached = characterization_from_payload(payload)
-            object.__setattr__(self, "_full_cache", cached)
-        return cached
-
-    def persisted_in(self, root: str | Path, key: str) -> bool:
-        """Whether this result's payload already lives at ``root/key``
-        (lets the collection layer skip a redundant re-put)."""
-        return str(root) == self._store_root and key == self._store_key
-
-    # Data descriptors shadow the frozen dataclass's instance fields, so
-    # these win even though the parent declares them as fields.
-
-    @property
-    def correctness_checks(self) -> dict[str, float]:
-        return dict(self._checks)
-
-    @property
-    def run(self):
-        return self._full().run
-
-    @property
-    def per_slave(self):
-        return self._full().per_slave
-
-    @property
-    def events(self):
-        return self._full().events
-
-    @property
-    def events_capacity(self):
-        return self._full().events_capacity
-
-    @property
-    def timeline(self):
-        return self._full().timeline
-
-
 # -- worker side ---------------------------------------------------------------
 
 
@@ -229,17 +97,20 @@ def _worker_main(tasks, results, init: dict) -> None:
 
     Protocol: each task is ``(generation, index, name, store_key,
     meta)``; ``None`` is the shutdown sentinel.  Each reply is
-    ``(generation, index, "ok", CompactResult)`` or
+    ``(generation, index, "ok", (payload, receipt))`` — the full
+    characterization payload, plus the ``(digest, nbytes)`` of its
+    object file when the pool has a store (else ``None``) — or
     ``(generation, index, "error", {type, message})``.
 
-    Fleet telemetry: the worker resets the registry values it inherited
-    from the parent at fork (they would double-count in the merged
-    view), then publishes its own metric shard and a coarse
-    ``pool:characterize:<name>`` trace span per task — carrying the
-    submitting client's correlation id from ``meta`` — into the store's
-    telemetry directory.  Spans are recorded on a worker-local tracer,
-    never activated as the ambient tracer, so the engines inside the
-    characterization stay on their zero-cost disabled path.
+    Fleet telemetry (store-backed pools only): the worker resets the
+    registry values it inherited from the parent at fork (they would
+    double-count in the merged view), then publishes its own metric
+    shard and a coarse ``pool:characterize:<name>`` trace span per task
+    — carrying the submitting client's correlation id from ``meta`` —
+    into the store's telemetry directory.  Spans are recorded on a
+    worker-local tracer, never activated as the ambient tracer, so the
+    engines inside the characterization stay on their zero-cost
+    disabled path.
     """
     # Imported here: the worker resolves its own instances post-fork,
     # and the service layer sits above this module.
@@ -254,16 +125,19 @@ def _worker_main(tasks, results, init: dict) -> None:
 
     REGISTRY.reset_values()
     tracer = Tracer(max_events=_WORKER_TRACE_CAPACITY)
-    # This loop *is* the worker process's main thread, so the agent can
-    # arm the sampling signals here: fleet profile windows then catch
-    # the characterization frames (attributed to the
-    # pool:characterize:<name> span) mid-task.
-    telemetry = TelemetryAgent(
-        init["store_root"],
-        instance=f"pool-{os.getpid():x}",
-        role="pool",
-        tracer=tracer,
-    ).start()
+    store = telemetry = None
+    if init["store_root"] is not None:
+        store = ResultStore(init["store_root"])
+        # This loop *is* the worker process's main thread, so the agent
+        # can arm the sampling signals here: fleet profile windows then
+        # catch the characterization frames (attributed to the
+        # pool:characterize:<name> span) mid-task.
+        telemetry = TelemetryAgent(
+            init["store_root"],
+            instance=f"pool-{os.getpid():x}",
+            role="pool",
+            tracer=tracer,
+        ).start()
     tasks_done = REGISTRY.counter(
         "repro_pool_tasks_total",
         "Workload characterizations finished by pool workers, by outcome",
@@ -271,11 +145,11 @@ def _worker_main(tasks, results, init: dict) -> None:
     )
     cluster = Cluster()
     context = RunContext(scale=init["scale"], seed=init["seed"])
-    store = ResultStore(init["store_root"])
     while True:
         task = tasks.get()
         if task is None:
-            telemetry.close()
+            if telemetry is not None:
+                telemetry.close()
             return
         generation, index, name, store_key, meta = task
         if os.environ.get(CRASH_ENV) == name:
@@ -296,21 +170,13 @@ def _worker_main(tasks, results, init: dict) -> None:
                     init["timeline"],
                     init["flight_capacity"],
                 )
-            digest, nbytes = store.put_object(
-                store_key, characterization_to_payload(characterization)
-            )
-            compact = CompactResult(
-                name=characterization.name,
-                metrics=dict(characterization.metrics),
-                checks=dict(characterization.run.checks),
-                attempts=characterization.attempts,
-                faults=characterization.faults,
-                store_key=store_key,
-                digest=digest,
-                nbytes=nbytes,
+            payload = characterization_to_payload(characterization)
+            receipt = (
+                store.put_object(store_key, payload) if store is not None
+                else None
             )
             tasks_done.inc(outcome="ok")
-            results.put((generation, index, "ok", compact))
+            results.put((generation, index, "ok", (payload, receipt)))
         except BaseException as error:  # noqa: BLE001 — must reach the parent
             tasks_done.inc(outcome="error")
             results.put(
@@ -322,11 +188,13 @@ def _worker_main(tasks, results, init: dict) -> None:
                 )
             )
             if not isinstance(error, Exception):
-                telemetry.close()
+                if telemetry is not None:
+                    telemetry.close()
                 raise  # KeyboardInterrupt/SystemExit: report, then die
         # Publish the finished task's span and counters promptly — a
         # merge right after a job completes must see this worker's lane.
-        telemetry.write_now()
+        if telemetry is not None:
+            telemetry.write_now()
 
 
 # -- parent side ---------------------------------------------------------------
@@ -340,7 +208,6 @@ class CollectionPool:
             raise WorkerPoolError("a pool needs at least one worker")
         ctx = multiprocessing.get_context()
         self.workers = workers
-        self.store_root = init["store_root"]
         self._tasks = ctx.Queue()
         self._results = ctx.Queue()
         self._generation = 0
@@ -364,12 +231,13 @@ class CollectionPool:
         self,
         items: list[tuple[str, str]],
         cancel: threading.Event | None = None,
-        on_result: Callable[[int, CompactResult], None] | None = None,
+        on_result: Callable[[int, tuple], None] | None = None,
         meta: dict | None = None,
-    ) -> list[CompactResult]:
+    ) -> list[tuple]:
         """Characterize ``items`` (``(name, store_key)`` pairs), in order.
 
-        Tasks are dispatched at most ``workers`` at a time, so a
+        Returns each item's ``(payload, receipt)`` reply (see
+        :func:`_worker_main`).  Tasks are dispatched at most ``workers`` at a time, so a
         cooperative cancel only ever has to drain what is actually
         running.  ``on_result`` fires in *submission* order as results
         become emittable (later completions are buffered), exactly like
@@ -397,8 +265,8 @@ class CollectionPool:
     def _run_locked(self, generation, items, cancel, on_result, meta=None):
         pending = deque(enumerate(items))
         outstanding: dict[int, str] = {}
-        buffered: dict[int, CompactResult] = {}
-        ordered: list[CompactResult] = []
+        buffered: dict[int, tuple] = {}
+        ordered: list[tuple] = []
         next_emit = 0
         cancelled = False
 
@@ -506,32 +374,11 @@ class CollectionPool:
 
 _POOLS: dict[tuple, CollectionPool] = {}
 _POOLS_LOCK = threading.Lock()
-_SPILL_DIR: str | None = None
 
-#: Forked workers inherit this module's atexit hooks; every hook below
-#: is guarded on the registering process so a worker exiting never
-#: deletes the shared spill store or sentinels its own siblings.
+#: Forked workers inherit this module's atexit hook; it is guarded on
+#: the registering process so a worker exiting never sentinels its own
+#: siblings.
 _OWNER_PID = os.getpid()
-
-
-def _cleanup_spill(path: str) -> None:
-    if os.getpid() == _OWNER_PID:
-        shutil.rmtree(path, ignore_errors=True)
-
-
-def pool_spill_dir() -> str:
-    """The pool-owned spill store root for cache-less collections.
-
-    Created on first use, shared by every pool in the process, and
-    removed at interpreter exit — lazy results memoized by the
-    collection layer can hydrate for as long as the process lives.
-    """
-    global _SPILL_DIR
-    with _POOLS_LOCK:
-        if _SPILL_DIR is None:
-            _SPILL_DIR = tempfile.mkdtemp(prefix="repro-pool-spill-")
-            atexit.register(_cleanup_spill, _SPILL_DIR)
-        return _SPILL_DIR
 
 
 def get_pool(workers: int, init: dict, token: str) -> CollectionPool:

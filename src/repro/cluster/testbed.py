@@ -115,12 +115,7 @@ class WorkloadCharacterization:
 
     @property
     def correctness_checks(self) -> dict[str, float]:
-        """The run's correctness self-checks, as a plain mapping.
-
-        Verification reads this property rather than ``run.checks``
-        directly so that store-backed lazy results (which carry the
-        checks compactly) can answer without hydrating the full run.
-        """
+        """The run's correctness self-checks, as a plain mapping."""
         return dict(self.run.checks)
 
 

@@ -20,6 +20,15 @@ snapshots, metric shards, trace spills, and profile requests and spills.
 
 No ``fsync``: the files must outlive a process, not the host, and a
 SIGKILL leaves the page cache intact.  Stdlib-only; callers pass locks in.
+
+Every temp file is preallocated (``posix_fallocate``) before its write.
+On an ext4 root, renaming an unallocated temp file over an existing
+file cost 40-75 ms per call (2 KB to 400 KB); with the blocks allocated
+first it cost 0.03-0.10 ms.  This fits ext4's ``auto_da_alloc`` rename
+heuristic, which flushes a delayed-allocation file replacing another,
+but that cause is not established.  It applies to every ``atomic_write``
+of a record that already exists: the store index, job snapshots,
+claims, metric shards and trace spills.
 """
 
 from __future__ import annotations
@@ -46,13 +55,22 @@ def _unlink_quietly(path: str | Path) -> None:
 
 
 def _write_temp(path: Path, data: bytes) -> str:
-    """``data`` in a new temp file beside ``path`` (parents created)."""
+    """``data`` in a new temp file beside ``path`` (parents created).
+
+    The file's blocks are allocated before the write (see the module
+    docstring); where that is not supported it is simply written.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(
         dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "wb") as handle:
+            if data and hasattr(os, "posix_fallocate"):
+                try:
+                    os.posix_fallocate(fd, 0, len(data))
+                except OSError:
+                    pass  # not supported by this file system
             handle.write(data)
     except BaseException:
         _unlink_quietly(tmp)

@@ -7,11 +7,18 @@ Three guarantees beyond bit-identity (which
   :class:`~repro.errors.WorkerPoolError` promptly — never a hang;
 * cooperative cancellation drains in-flight work and leaves the pool
   healthy and reusable;
-* store-backed lazy results hydrate into objects identical to an eager
-  serial characterization, and answer verification without hydrating.
+* results travel whole: a pool result equals the serial
+  characterization field by field, a store-backed collection writes
+  each workload object once, and a cache-less one writes no spill
+  directory.
 """
 
+import os
+import subprocess
+import sys
 import threading
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +29,10 @@ from repro.cluster.collection import (
     characterize_suite,
     workload_store_key,
 )
-from repro.cluster.pool import LazyWorkloadCharacterization, shutdown_pools
+from repro.cluster.pool import shutdown_pools
 from repro.cluster.testbed import MeasurementConfig
 from repro.errors import CollectionCancelled, StoreError, WorkerPoolError
+from repro.faults import FaultPlan
 from repro.service.store import ResultStore
 from repro.workloads.suite import SUITE
 
@@ -101,47 +109,97 @@ class TestCancel:
             characterize_suite(SUITE[:3], tiny_config(), workers=2, cancel=cancel)
 
 
-class TestLazyHydration:
-    def test_lazy_results_hydrate_identical_to_eager(self):
-        config = tiny_config()
+class TestPoolResults:
+    def test_pool_results_equal_serial_field_by_field(self):
+        config = replace(
+            tiny_config(),
+            faults=FaultPlan(seed=5, crash=0.15, straggler=0.1, hdfs_read=0.1),
+        )
         serial = characterize_suite(SUITE[:2], config, workers=1)
         collection._MEMO.clear()
         parallel = characterize_suite(SUITE[:2], config, workers=2)
 
-        for eager, lazy in zip(
+        for eager, whole in zip(
             serial.characterizations, parallel.characterizations
         ):
-            assert isinstance(lazy, LazyWorkloadCharacterization)
-            # Compact fields arrive over the queue.
-            assert lazy.metrics == eager.metrics
-            assert lazy.attempts == eager.attempts
-            assert lazy.correctness_checks == eager.correctness_checks
-            # Heavy fields hydrate from the spill store on access.
-            assert lazy.per_slave == eager.per_slave
-            assert lazy.run.checks == eager.run.checks
-            assert lazy.run.output_records == eager.run.output_records
-            records = lazy.run.trace.records
-            assert [r.name for r in records] == [
-                r.name for r in eager.run.trace.records
-            ]
-            assert [r.bytes_in for r in records] == [
-                r.bytes_in for r in eager.run.trace.records
-            ]
+            assert type(whole) is type(eager)
+            assert whole.name == eager.name
+            assert whole.metrics == eager.metrics
+            assert whole.per_slave == eager.per_slave
+            assert whole.attempts == eager.attempts
+            assert whole.faults == eager.faults
+            assert whole.faults is not None  # the plan was in force
+            assert whole.run.checks == eager.run.checks
+            assert whole.run.output_records == eager.run.output_records
+            assert whole.run.trace.records == eager.run.trace.records
 
-    def test_checks_answer_without_hydration(self):
-        parallel = characterize_suite(SUITE[:2], tiny_config(), workers=2)
-        lazy = parallel.characterizations[0]
-        assert isinstance(lazy, LazyWorkloadCharacterization)
-        assert "_full_cache" not in lazy.__dict__
-        assert lazy.correctness_checks  # served from the compact copy
-        assert "_full_cache" not in lazy.__dict__
-        lazy.run  # first heavy access hydrates ...
-        assert "_full_cache" in lazy.__dict__  # ... and caches
+    def test_store_backed_collection_writes_each_object_once(
+        self, tmp_path, monkeypatch
+    ):
+        """Workers write the workload objects; the parent writes only
+        the suite entry.  Forked workers inherit the patched class, and
+        every call appends one line to a shared log."""
+        log = tmp_path / "calls.log"
+
+        def logged(name):
+            method = getattr(ResultStore, name)
+
+            def wrapper(self, key, *args):
+                with open(log, "a") as handle:
+                    handle.write(f"{name} {key}\n")
+                return method(self, key, *args)
+
+            return wrapper
+
+        for name in ("put", "put_object"):
+            monkeypatch.setattr(ResultStore, name, logged(name))
+        config = tiny_config()
+        characterize_suite(
+            SUITE[:3], config, cache_dir=tmp_path / "store", workers=2
+        )
+
+        calls = sorted(log.read_text().splitlines())
+        objects = sorted(
+            f"put_object {workload_store_key(config, w.name)}"
+            for w in SUITE[:3]
+        )
+        suite = f"put {collection.suite_store_key(config, SUITE[:3])}"
+        assert calls == sorted(objects + [suite])
+
+    def test_cache_less_collection_makes_no_spill_directory(self, tmp_path):
+        """Run in a fresh interpreter so no earlier collection in this
+        process can have made the directory already, and list TMPDIR
+        before that interpreter exits."""
+        tmpdir = tmp_path / "tmp"
+        tmpdir.mkdir()
+        script = (
+            "import os\n"
+            "from repro.cluster.collection import CollectionConfig, characterize_suite\n"
+            "from repro.cluster.testbed import MeasurementConfig\n"
+            "from repro.workloads.suite import SUITE\n"
+            "config = CollectionConfig(scale=0.2, seed=7,\n"
+            "    measurement=MeasurementConfig(slaves_measured=1, active_cores=2,\n"
+            "                                  ops_per_core=1200))\n"
+            "characterize_suite(SUITE[:2], config, workers=2)\n"
+            f"print(sorted(os.listdir({str(tmpdir)!r})))\n"
+        )
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src"),
+            "TMPDIR": str(tmpdir),
+        }
+        env.pop("REPRO_CACHE_DIR", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_parallel_payloads_land_in_cache_dir(self, tmp_path):
-        """With a persistent store configured, worker-side spills double
-        as persistence: a cold process-level cache hit must hydrate the
-        exact parallel matrix."""
+        """With a persistent store configured, the workers' object files
+        double as persistence: a cold process-level cache hit must
+        hydrate the exact parallel matrix."""
         config = tiny_config()
         parallel = characterize_suite(
             SUITE[:2], config, cache_dir=tmp_path, workers=2
