@@ -4,11 +4,10 @@ from repro.arch.branch import BranchStats, GsharePredictor
 from repro.arch.cache import CacheAccess, CacheConfig, CacheStats, SetAssociativeCache
 from repro.arch.coherence import CoherenceDirectory, MesiState, SnoopResponse, SnoopStats
 from repro.arch.core_model import CoreModel
-from repro.arch.offcore import OffcoreCounters
 from repro.arch.pipeline import CycleAccounting, CycleModel, Latencies, SampleCounts
 from repro.arch.processor import Processor, ProcessorConfig, events_from_sample
 from repro.arch.tlb import Tlb, TlbConfig, TlbHierarchy, TlbOutcome
-from repro.arch.trace import InstructionMix, OpKind, PhaseProfile, merge_profiles
+from repro.arch.trace import InstructionMix, OpKind, PhaseProfile
 
 __all__ = [
     "BranchStats",
@@ -22,7 +21,6 @@ __all__ = [
     "SnoopResponse",
     "SnoopStats",
     "CoreModel",
-    "OffcoreCounters",
     "CycleAccounting",
     "CycleModel",
     "Latencies",
@@ -37,5 +35,4 @@ __all__ = [
     "InstructionMix",
     "OpKind",
     "PhaseProfile",
-    "merge_profiles",
 ]

@@ -93,9 +93,9 @@ class CompactSample(NamedTuple):
         elided: Same-line fetches removed from the event list; each is a
             guaranteed L1I + ITLB-L1 hit applied as batched counter
             increments.  The *first* fetch of the sample is never
-            elided: pre-warming may touch the L1I between samples, so
-            only *within* a sample is a same-line refetch provably
-            state-preserving.
+            elided: the L1I it meets was left by whatever ran before
+            (the pre-warm or another sample), so only *within* a sample
+            is a same-line refetch provably state-preserving.
         branch_pcs: Branch-site PCs in stream order (the predictor pass).
         branch_takens: Branch outcomes aligned with ``branch_pcs``.
         tallies: Vectorised per-class op counts.

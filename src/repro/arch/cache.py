@@ -261,39 +261,45 @@ class SetAssociativeCache:
         cache_set[line_addr] = False
 
     def fill(self, spans: list[tuple[int, int]]) -> None:
-        """Install each ``(first_line, count)`` span in turn, coldest first.
+        """Pre-warm this empty cache from disjoint ``(first_line, count)``
+        spans, each installed coldest first.
 
         Ends in the state of ``install_line(first_line + offset)`` for
         ``offset`` from ``count - 1`` down to 0, span after span: the
-        pre-warm protocol, hundreds of thousands of lines.  Pre-warming
-        fills an empty cache from disjoint spans, and then each set simply
-        ends with the last ``assoc`` lines installed into it, clean, in
-        install order.  A first-touch cache only records the spans, and
-        builds each set from them when it is first read; any other cache
-        writes only those lines, in one pass.  A cache that already holds
-        lines or spans, overlapping spans, or more than 255 ways on an
-        eager cache (the one pass counts free ways in bytes) take the
-        per-line path.
+        pre-warm protocol, hundreds of thousands of lines.  From an empty
+        cache and disjoint spans, each set simply ends with the last
+        ``assoc`` lines installed into it, clean, in install order.  A
+        first-touch cache only records the spans, and builds each set
+        from them when it is first read; any other cache writes only
+        those lines, in one pass.
+
+        Raises:
+            ConfigurationError: If the cache already holds lines or
+                spans, if two spans overlap, or if an eager cache has
+                more than 255 ways (the one pass counts free ways in
+                bytes).
         """
         sets = self._sets
-        num_sets = self._num_sets
-        ordered = sorted(spans)
+        name = self.config.name
         first_touch = isinstance(sets, _FirstTouchSets)
         if first_touch:
-            per_line = any(sets.offsets) or any(sets.values())
+            used = any(sets.offsets) or any(sets.values())
         else:
-            per_line = self._assoc > 255 or any(sets)
-        if per_line or any(
+            used = any(sets)
+        if used:
+            raise ConfigurationError(f"{name}: fill needs an empty cache")
+        ordered = sorted(spans)
+        if any(
             first + count > next_first
             for (first, count), (next_first, _) in zip(ordered, ordered[1:])
         ):
-            for first_line, count in spans:
-                for line in range(first_line + count - 1, first_line - 1, -1):
-                    self.install_line(line)
-            return
+            raise ConfigurationError(f"{name}: fill spans overlap")
         if first_touch:
             sets.record(spans)
             return
+        if self._assoc > 255:
+            raise ConfigurationError(f"{name}: fill handles at most 255 ways")
+        num_sets = self._num_sets
         # Walk the lines hottest first (spans last to first, each upward
         # from its first line) in blocks that never wrap past the last
         # set, so a block's lines land in distinct, consecutive sets under

@@ -133,29 +133,11 @@ class CoreModel:
         self._stream_trackers: dict[int, int] = {}  # page -> last line seen
         self._last_fetch_line = -2  # I-side next-line prefetcher state
 
-    def prewarm(
-        self,
-        profile: PhaseProfile,
-        private_budget_lines: int | None = None,
-        install_shared_and_code: bool = True,
-    ) -> None:
-        """Install this core's steady-state resident set before sampling,
-        filling each cache once from its :meth:`prewarm_spans` list.
-
-        ``Processor.start_workload`` instead gathers the spans of every
-        active core first, so the shared L3 is filled once, too.
-        """
-        spans = self.prewarm_spans(
-            profile, private_budget_lines, install_shared_and_code
-        )
-        for cache, cache_spans in spans.items():
-            cache.fill(cache_spans)
-
     def prewarm_spans(
         self,
         profile: PhaseProfile,
-        private_budget_lines: int | None = None,
-        install_shared_and_code: bool = True,
+        private_budget_lines: int,
+        install_shared_and_code: bool,
     ) -> dict[SetAssociativeCache, list[tuple[int, int]]]:
         """The ``(first_line, count)`` spans that pre-warm each cache, in
         install order (each span is installed coldest first, highest line
@@ -183,9 +165,10 @@ class CoreModel:
         Args:
             profile: The phase (or union-of-phases) footprint to warm.
             private_budget_lines: L3 lines this core may fill with its
-                private warm tier (default: the full warm tier).
+                private warm tier.
             install_shared_and_code: Include the node-shared regions;
-                the driver enables this for one core only.
+                :meth:`Processor.prewarm_spans` enables this for one core
+                only.
         """
         private_base = trace_mod.PRIVATE_DATA_BASE + self.core_id * trace_mod.PRIVATE_DATA_STRIDE
         hot_lines = trace_mod.HOT_REGION_BYTES >> LINE_SHIFT
@@ -193,9 +176,9 @@ class CoreModel:
 
         warm_bytes = min(trace_mod.WARM_REGION_BYTES, profile.data_working_set)
         warm_first = (private_base + trace_mod.HOT_REGION_BYTES) >> LINE_SHIFT
-        warm_lines = max(1, warm_bytes >> LINE_SHIFT)
-        if private_budget_lines is not None:
-            warm_lines = min(warm_lines, max(1, private_budget_lines))
+        warm_lines = min(
+            max(1, warm_bytes >> LINE_SHIFT), max(1, private_budget_lines)
+        )
         l2_head = min(warm_lines, (self.l2.config.size // 2) >> LINE_SHIFT)
 
         # The private L1I / L2 hold this core's hot code head regardless
@@ -324,8 +307,9 @@ class CoreModel:
         push_deadline = push_deadlines.append
 
         # A sample's first fetch is never elided (see repro.arch.batch):
-        # prewarm may touch the L1I between samples, so only *within* a
-        # sample is a same-line refetch provably state-preserving.
+        # the L1I it meets was left by the pre-warm or another sample, so
+        # only *within* a sample is a same-line refetch provably
+        # state-preserving.
         elided = sample.elided
 
         # Locality fast paths, each exact by construction:

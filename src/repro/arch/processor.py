@@ -20,12 +20,9 @@ Simulation protocol (mirroring Section IV-C of the paper):
 from __future__ import annotations
 
 import gc
+from dataclasses import dataclass, replace
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.arch.batch import PhasePlan, plan_workload
+from repro.arch.batch import PhasePlan
 from repro.arch.cache import CacheConfig, SetAssociativeCache
 from repro.arch.coherence import CoherenceDirectory
 from repro.arch.core_model import CoreModel, wrong_path_branches
@@ -67,8 +64,6 @@ def _merge_counts(total: SampleCounts, part: SampleCounts) -> None:
 
 def _union_footprint(profiles: list[PhaseProfile]) -> PhaseProfile:
     """A profile whose footprints cover every phase (for one pre-warm)."""
-    from dataclasses import replace
-
     base = max(profiles, key=lambda p: p.data_working_set)
     return replace(
         base,
@@ -178,62 +173,6 @@ class Processor:
         """All cores in the machine (both sockets)."""
         return self.config.sockets * self.config.cores_per_socket
 
-    def run_phase(
-        self,
-        profile: PhaseProfile,
-        rng: np.random.Generator,
-        active_cores: int = 4,
-        ops_per_core: int = 8000,
-        warmup_fraction: float = 0.3,
-        prewarm: bool = True,
-        plan: PhasePlan | None = None,
-    ) -> dict[str, float]:
-        """Simulate one phase and return scaled raw events.
-
-        Args:
-            profile: The phase to simulate.
-            rng: Seeded generator; consumed deterministically.
-            active_cores: How many sibling cores run the phase.
-            ops_per_core: Measured sample size per core.
-            warmup_fraction: Ramp-up sample (fraction of ``ops_per_core``)
-                whose counters are discarded, mirroring the paper's
-                ramp-up protocol.
-            prewarm: Install the steady-state resident set first.
-                ``run_workload`` pre-warms once with the union footprint
-                and disables the per-phase pass.
-            plan: Pre-synthesised samples for this phase; when given,
-                ``rng`` is not consumed — the caller already drew the
-                phase's randomness into the plan.
-
-        Raises:
-            ConfigurationError: If ``active_cores`` exceeds the socket.
-        """
-        if not 1 <= active_cores <= self.config.cores_per_socket:
-            raise ConfigurationError(
-                f"active_cores={active_cores} must be in "
-                f"[1, {self.config.cores_per_socket}]"
-            )
-        if ops_per_core <= 0:
-            raise ConfigurationError("ops_per_core must be positive")
-
-        cores = self.cores[:active_cores]
-        if plan is None:
-            plan = plan_workload(
-                [profile],
-                rng,
-                [core.core_id for core in cores],
-                ops_per_core,
-                warmup_fraction,
-            )[0]
-        total = SampleCounts()
-        for core, warmup in zip(cores, plan.warmups):
-            if prewarm:
-                core.prewarm(profile)  # steady-state resident set
-            core.run_compact(warmup, discard=True)  # ramp-up, discarded
-        for core, measured in zip(cores, plan.measured):
-            _merge_counts(total, core.run_compact(measured))
-        return self.phase_events(profile, total)
-
     def phase_events(
         self, profile: PhaseProfile, total: SampleCounts
     ) -> dict[str, float]:
@@ -244,33 +183,29 @@ class Processor:
         return events_from_sample(total, accounting, scale)
 
     def run_workload(
-        self,
-        profiles: list[PhaseProfile],
-        rng: np.random.Generator,
-        active_cores: int = 4,
-        ops_per_core: int = 8000,
-        warmup_fraction: float = 0.3,
-        plan: list[PhasePlan] | None = None,
+        self, profiles: list[PhaseProfile], plan: list[PhasePlan]
     ) -> dict[str, float]:
         """Simulate a workload's phases back to back and sum raw events.
 
-        Private core state is flushed before the first phase (a fresh
-        process); it persists *across* phases of the same workload, as it
-        would on real hardware.  Every window's synthesis is hoisted
-        ahead of all simulation (simulation consumes no randomness, so
-        the draw order — and hence the result — is unchanged).
+        Private core state is flushed and pre-warmed once before the
+        first phase (a fresh process); it persists *across* phases of the
+        same workload, as it would on real hardware.  Each window then
+        runs every active core's warm-up sample (counters discarded),
+        then every core's measured sample.
 
         Args:
-            plan: Pre-synthesised plan for all phases, one
-                :class:`~repro.arch.batch.PhasePlan` per profile in order.
-                Callers batching across slaves or workloads pass plans
-                built from each slave's own rng with a shared scratch;
-                ``rng`` is then not consumed here.
+            profiles: The workload's phases, in order.
+            plan: One :class:`~repro.arch.batch.PhasePlan` per profile,
+                from :func:`~repro.arch.batch.plan_workload`.  It carries
+                every sample the windows run, so simulation consumes no
+                randomness; the active cores are the first
+                ``len(plan[0].measured)`` of the socket.
         """
         if not profiles:
             raise ConfigurationError("run_workload needs at least one phase profile")
-        if plan is not None and len(plan) != len(profiles):
+        if len(plan) != len(profiles):
             raise ConfigurationError("plan length must match profiles")
+        cores = self.cores[: len(plan[0].measured)]
         # The hot loops allocate steadily (directory entries, fill
         # tuples) but almost nothing cyclic; generational GC passes in
         # the middle of a workload are pure overhead, so pause collection
@@ -279,53 +214,28 @@ class Processor:
         if gc_was_enabled:
             gc.disable()
         try:
-            return self._run_workload_inner(
-                profiles, rng, active_cores, ops_per_core,
-                warmup_fraction, plan,
-            )
+            self.start_workload(profiles, len(cores))
+            sampler = current_timeline()
+            totals: dict[str, float] = {}
+            for window, (profile, phase) in enumerate(zip(profiles, plan)):
+                for core, warmup in zip(cores, phase.warmups):
+                    core.run_compact(warmup, discard=True)  # ramp-up
+                total = SampleCounts()
+                for core, measured in zip(cores, phase.measured):
+                    _merge_counts(total, core.run_compact(measured))
+                events = self.phase_events(profile, total)
+                if sampler is not None:
+                    # Observational: the sampler copies `events` and
+                    # derives window metrics from the copy.
+                    sampler.sim_window(
+                        window, profile.name, profile.instructions, events
+                    )
+                for name, value in events.items():
+                    totals[name] = totals.get(name, 0.0) + value
+            return totals
         finally:
             if gc_was_enabled:
                 gc.enable()
-
-    def _run_workload_inner(
-        self,
-        profiles: list[PhaseProfile],
-        rng: np.random.Generator,
-        active_cores: int,
-        ops_per_core: int,
-        warmup_fraction: float,
-        plan: list[PhasePlan] | None,
-    ) -> dict[str, float]:
-        self.start_workload(profiles, active_cores)
-        if plan is None:
-            plan = plan_workload(
-                profiles,
-                rng,
-                [core.core_id for core in self.cores[:active_cores]],
-                ops_per_core,
-                warmup_fraction,
-            )
-        sampler = current_timeline()
-        totals: dict[str, float] = {}
-        for window, profile in enumerate(profiles):
-            events = self.run_phase(
-                profile,
-                rng,
-                active_cores=active_cores,
-                ops_per_core=ops_per_core,
-                warmup_fraction=warmup_fraction,
-                prewarm=False,
-                plan=plan[window],
-            )
-            if sampler is not None:
-                # Observational: the sampler copies `events` and derives
-                # window metrics from the copy — the measurement is done.
-                sampler.sim_window(
-                    window, profile.name, profile.instructions, events
-                )
-            for name, value in events.items():
-                totals[name] = totals.get(name, 0.0) + value
-        return totals
 
     def start_workload(
         self, profiles: list[PhaseProfile], active_cores: int

@@ -85,11 +85,6 @@ class TlbStats:
     def lookups(self) -> int:
         return self.l1_hits + self.stlb_hits + self.walks
 
-    @property
-    def l1_misses(self) -> int:
-        """First-level misses (STLB hits plus full walks)."""
-        return self.stlb_hits + self.walks
-
 
 class Tlb:
     """One set-associative TLB level with LRU replacement over page numbers.

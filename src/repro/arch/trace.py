@@ -32,7 +32,7 @@ Two design points matter for realism:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -50,7 +50,6 @@ __all__ = [
     "InstructionMix",
     "PhaseProfile",
     "synthesize_columns",
-    "merge_profiles",
     "OP_LOAD",
     "OP_STORE",
     "OP_BRANCH",
@@ -271,67 +270,6 @@ class PhaseProfile:
             raise ConfigurationError(f"phase {self.name!r}: footprints must be positive")
         if self.shared_working_set <= 0:
             raise ConfigurationError(f"phase {self.name!r}: shared_working_set must be positive")
-
-    def scaled(self, factor: float) -> "PhaseProfile":
-        """A copy of this profile representing ``factor``× the instructions."""
-        return replace(self, instructions=max(1, int(self.instructions * factor)))
-
-
-def merge_profiles(name: str, profiles: list[PhaseProfile]) -> PhaseProfile:
-    """Merge phases into one, weighting parameters by instruction counts.
-
-    Useful for collapsing many small tasks of the same kind into a single
-    representative phase before simulation.
-
-    Raises:
-        ConfigurationError: If ``profiles`` is empty.
-    """
-    if not profiles:
-        raise ConfigurationError("cannot merge an empty list of profiles")
-    total = sum(p.instructions for p in profiles)
-    weights = [p.instructions / total for p in profiles]
-
-    def wavg(getter) -> float:
-        return float(sum(w * getter(p) for w, p in zip(weights, profiles)))
-
-    mix = InstructionMix(
-        load=wavg(lambda p: p.mix.load),
-        store=wavg(lambda p: p.mix.store),
-        branch=wavg(lambda p: p.mix.branch),
-        int_alu=wavg(lambda p: p.mix.int_alu),
-        fp_x87=wavg(lambda p: p.mix.fp_x87),
-        fp_sse=wavg(lambda p: p.mix.fp_sse),
-    )
-    return PhaseProfile(
-        name=name,
-        instructions=total,
-        mix=mix,
-        kernel_fraction=wavg(lambda p: p.kernel_fraction),
-        uops_per_instruction=wavg(lambda p: p.uops_per_instruction),
-        code_footprint=max(p.code_footprint for p in profiles),
-        code_locality=wavg(lambda p: p.code_locality),
-        code_reuse_skew=wavg(lambda p: p.code_reuse_skew),
-        data_working_set=max(p.data_working_set for p in profiles),
-        hot_data_fraction=wavg(lambda p: p.hot_data_fraction),
-        data_streaming_fraction=wavg(lambda p: p.data_streaming_fraction),
-        data_reuse_skew=wavg(lambda p: p.data_reuse_skew),
-        data_tail_fraction=wavg(lambda p: p.data_tail_fraction),
-        shared_fraction=wavg(lambda p: p.shared_fraction),
-        shared_working_set=max(p.shared_working_set for p in profiles),
-        shared_reuse_skew=wavg(lambda p: p.shared_reuse_skew),
-        shared_tail_fraction=wavg(lambda p: p.shared_tail_fraction),
-        shared_write_fraction=wavg(lambda p: p.shared_write_fraction),
-        branch_entropy=wavg(lambda p: p.branch_entropy),
-    )
-
-
-def _zipf_offset(u: float, span: int, skew: float) -> int:
-    """Map uniform ``u`` in [0,1) to a power-law-skewed byte offset.
-
-    ``skew == 1`` is uniform; larger values concentrate mass near offset 0
-    (the hot head of the region).
-    """
-    return int(span * (u**skew))
 
 
 #: Modelled kernel hot-code footprint (syscall, network, VFS paths).

@@ -40,8 +40,8 @@ from repro.workloads.suite import closest_workloads
 
 __all__ = ["main"]
 
-#: Exit code for user errors (bad workload name), distinct from workload
-#: self-check failures (1).
+#: Exit code for user errors (bad workload name, invalid configuration),
+#: distinct from workload self-check failures (1).
 EXIT_USAGE = 2
 
 
@@ -1085,7 +1085,11 @@ def main(argv: list[str] | None = None) -> int:
         "status": _cmd_status,
         "profile": _cmd_profile,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ConfigurationError as error:
+        print(f"repro: {error}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

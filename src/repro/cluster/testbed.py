@@ -74,6 +74,10 @@ class MeasurementConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.slaves_measured <= 4:
             raise ConfigurationError("slaves_measured must be in [1, 4]")
+        if self.active_cores < 1:
+            raise ConfigurationError("active_cores must be positive")
+        if self.ops_per_core < 1:
+            raise ConfigurationError("ops_per_core must be positive")
         if self.perf_repeats <= 0:
             raise ConfigurationError("perf_repeats must be positive")
 
@@ -247,9 +251,8 @@ class Cluster:
             measured_slaves = surviving
 
         # Hoist every measured slave's synthesis ahead of all simulation:
-        # each slave's plan is drawn from its own rng (identical stream
-        # to the one run_workload would consume internally), while one
-        # shared scratch backs every sample's uniform draws so the whole
+        # each slave's plan is drawn from its own rng, while one shared
+        # scratch backs every sample's uniform draws so the whole
         # measurement reuses a single set of preallocated buffers.
         scratch = SynthScratch()
         slave_rngs: dict[int, np.random.Generator] = {}
@@ -260,10 +263,13 @@ class Cluster:
                 stable_hash((workload.name, context.seed, slave_index))
             )
             slave_rngs[slave_index] = rng
-            core_ids = [
-                core.core_id
-                for core in slave.processor.cores[: measurement.active_cores]
-            ]
+            cores = slave.processor.cores
+            if measurement.active_cores > len(cores):
+                raise ConfigurationError(
+                    f"active_cores={measurement.active_cores} exceeds the "
+                    f"{len(cores)} cores of a socket"
+                )
+            core_ids = [core.core_id for core in cores[: measurement.active_cores]]
             slave_plans[slave_index] = plan_workload(
                 profiles,
                 rng,
@@ -288,12 +294,7 @@ class Cluster:
                 f"simulate:{workload.name}:slave-{slave_index}", "measure"
             ):
                 true_events = slave.processor.run_workload(
-                    profiles,
-                    rng,
-                    active_cores=measurement.active_cores,
-                    ops_per_core=measurement.ops_per_core,
-                    warmup_fraction=measurement.warmup_fraction,
-                    plan=slave_plans[slave_index],
+                    profiles, plan=slave_plans[slave_index]
                 )
                 if sampler is not None:
                     # Windows must exactly partition the measurement —

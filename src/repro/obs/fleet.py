@@ -175,6 +175,8 @@ class TelemetryAgent:
         self.path = telemetry_dir(self.root, "metrics") / name
         self.trace_path = telemetry_dir(self.root, "traces") / name
         self._stop = threading.Event()
+        # Cuts the loop's current wait short (stop, or :meth:`poke`).
+        self._wake = threading.Event()
         self._thread: threading.Thread | None = None
         # Serialises file writes and the hand-off of the open window.
         self._lock = threading.Lock()
@@ -207,7 +209,9 @@ class TelemetryAgent:
             wake = min(time.time() + POLL_S, next_write)
             if window is not None:
                 wake = min(wake, window[2])
-            if self._stop.wait(max(0.0, wake - time.time())):
+            self._wake.wait(max(0.0, wake - time.time()))
+            self._wake.clear()
+            if self._stop.is_set():
                 return
             now = time.time()
             try:
@@ -237,11 +241,23 @@ class TelemetryAgent:
         retires the shard, exactly like a Prometheus target going away.
         """
         self._stop.set()
+        self._wake.set()
         thread = self._thread
         if thread is not None and thread is not threading.current_thread():
             thread.join(timeout=2.0 * INTERVAL_S)
         self._close_window()
         self.write_now()
+
+    def poke(self) -> None:
+        """Look for a profile request now rather than at the next poll.
+
+        A process that publishes a window calls this so its own agent
+        joins at once.  Polling alone joins up to ``POLL_S`` late plus
+        any stall of this thread, and back-to-back windows land just
+        after a poll; a short window joined with under 0.05 s left is
+        skipped and comes back empty.
+        """
+        self._wake.set()
 
     # -- snapshots --------------------------------------------------------
 

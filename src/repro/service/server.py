@@ -92,8 +92,14 @@ _EVENT_STREAM = "text/event-stream"
 #: the server's request span and onto the job it submits/joins.
 CORRELATION_HEADER = "X-Repro-Correlation-Id"
 
-#: Ring bound of the service's long-running tracer (newest spans win).
+#: Ring bound of the service's tracer, which records request and job
+#: spans (correlation ids land in span args); the newest spans win, so a
+#: long-lived service cannot grow without bound.
 _TRACE_CAPACITY = 8192
+
+#: Seed of the K-means restarts behind ``/subset``, ``/observations`` and
+#: ``/dashboard``.
+_SUBSETTING_SEED = 0
 
 #: Derived responses (matrix, subsets, observations, dashboard) kept for
 #: the current suite etag; the least recently used goes first.
@@ -126,11 +132,6 @@ class ServiceConfig:
         request_timeout_s: How long a blocking endpoint waits for its
             job before giving up with 504; also the longest a job's
             event stream stays open.
-        subsetting_seed: Seed for the ``/subset`` K-means restarts.
-        tracing: Record request and job spans in a bounded service
-            tracer (correlation ids from ``X-Repro-Correlation-Id``
-            land in span args).  The tracer keeps only the newest
-            spans, so a long-lived service cannot grow without bound.
     """
 
     collection: CollectionConfig = CollectionConfig()
@@ -138,8 +139,6 @@ class ServiceConfig:
     cache_dir: str | None = None
     workers: int = 1
     request_timeout_s: float = 600.0
-    subsetting_seed: int = 0
-    tracing: bool = True
 
 
 class _HttpError(Exception):
@@ -182,9 +181,7 @@ class CharacterizationService:
             self._tmp = tempfile.TemporaryDirectory(prefix="repro-service-")
             cache_dir = self._tmp.name
         self.store = ResultStore(cache_dir)
-        self.tracer = (
-            Tracer(max_events=_TRACE_CAPACITY) if self.config.tracing else None
-        )
+        self.tracer = Tracer(max_events=_TRACE_CAPACITY)
         self.jobs = JobManager(
             self.store,
             config=self.config.collection,
@@ -470,6 +467,7 @@ class CharacterizationService:
         request = request_profile(
             self.store.root, seconds=seconds, interval_ms=interval, mode=mode
         )
+        self.telemetry.poke()
         merged = collect_fleet_profile(self.store.root, request)
         if fmt == "collapsed":
             text = collapsed_stacks(merged) + "\n"
@@ -491,10 +489,9 @@ class CharacterizationService:
         """``/trace``: every process's trace spill stitched into one
         Chrome Trace Event document (distinct pid lanes, rebased onto a
         common timeline — see :func:`repro.obs.fleet.merge_traces`)."""
-        if self.tracer is not None:
-            # Flush this worker's newest spans so the merge includes the
-            # requests that led up to this one.
-            self.telemetry.spill_trace()
+        # Flush this worker's newest spans so the merge includes the
+        # requests that led up to this one.
+        self.telemetry.spill_trace()
         merged = merge_store_traces(self.store.root)
         return _Response(200, _dumps(merged))
 
@@ -743,10 +740,10 @@ class CharacterizationService:
         )
         try:
             if k is None:
-                result = subset_workloads(matrix, seed=self.config.subsetting_seed)
+                result = subset_workloads(matrix, seed=_SUBSETTING_SEED)
             else:
                 result = subset_workloads(
-                    matrix, seed=self.config.subsetting_seed, k_min=k, k_max=k
+                    matrix, seed=_SUBSETTING_SEED, k_min=k, k_max=k
                 )
         except ReproError as exc:
             raise _HttpError(400, f"subsetting failed: {exc}") from exc
@@ -902,7 +899,7 @@ class CharacterizationService:
         experiment = run_experiment(
             ExperimentConfig(
                 collection=self.config.collection,
-                subsetting_seed=self.config.subsetting_seed,
+                subsetting_seed=_SUBSETTING_SEED,
                 cache_dir=str(self.store.root),
             )
         )
@@ -953,7 +950,7 @@ class CharacterizationService:
         subsetting = None
         try:
             subsetting = subset_workloads(
-                matrix, seed=self.config.subsetting_seed
+                matrix, seed=_SUBSETTING_SEED
             )
         except ReproError:
             pass  # tiny suites can't cluster; the dashboard degrades

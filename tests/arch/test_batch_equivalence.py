@@ -34,16 +34,29 @@ def profiles():
     return profiles_from_trace(run.trace, workload.hints, num_workers=4)
 
 
-def run_engine(profiles, engine, seed, *, active_cores=2, ops_per_core=1500):
-    """One fresh-processor run of ``"batched"`` (the shipping engine) or
-    ``"windowed"`` (the per-op oracle); returns (events, final rng state)."""
+def run_engine(
+    profiles, engine, seed, *, active_cores=2, ops_per_core=1500, scratch=None
+):
+    """One fresh-processor run of ``"batched"`` (the shipping engine, over
+    a plan drawn up front) or ``"windowed"`` (the per-op oracle, drawing
+    each window as it runs); returns (events, final rng state)."""
     processor = Processor()
     rng = np.random.default_rng(seed)
-    kwargs = dict(active_cores=active_cores, ops_per_core=ops_per_core)
     if engine == "batched":
-        events = processor.run_workload(profiles, rng, **kwargs)
+        plan = plan_workload(
+            profiles,
+            rng,
+            [core.core_id for core in processor.cores[:active_cores]],
+            ops_per_core,
+            0.3,
+            scratch=scratch,
+        )
+        events = processor.run_workload(profiles, plan)
     else:
-        events = reference_engine.run_workload(processor, profiles, rng, **kwargs)
+        events = reference_engine.run_workload(
+            processor, profiles, rng,
+            active_cores=active_cores, ops_per_core=ops_per_core,
+        )
     return events, rng.bit_generator.state
 
 
@@ -70,21 +83,17 @@ class TestEngineEquivalence:
                 run_engine([], engine, 0)
 
     def test_externally_built_plan_is_equivalent(self, profiles):
-        """A plan hoisted by the caller (shared scratch, rng pre-drawn)
-        must equal both the internal batched path and the reference —
-        this is the contract cross-slave batching rests on."""
-        windowed, w_state = run_engine(profiles, "windowed", 7)
-
-        rng = np.random.default_rng(7)
-        plan = plan_workload(
-            profiles, rng, [0, 1], 1500, 0.3, scratch=SynthScratch()
-        )
-        processor = Processor()
-        events = processor.run_workload(
-            profiles, rng, active_cores=2, ops_per_core=1500, plan=plan
-        )
-        assert events == windowed
-        assert rng.bit_generator.state == w_state
+        """Plans for several slaves drawn through one shared scratch (as
+        the testbed hoists them) each equal the reference for their own
+        seed — the contract cross-slave batching rests on."""
+        scratch = SynthScratch()
+        for seed in (7, 8):
+            windowed, w_state = run_engine(profiles, "windowed", seed)
+            batched, b_state = run_engine(
+                profiles, "batched", seed, scratch=scratch
+            )
+            assert batched == windowed
+            assert b_state == w_state
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -130,19 +139,27 @@ class TestEquivalenceUnderObservation:
     def test_batched_collection_matches_windowed(self, monkeypatch):
         batched = self._characterize()
 
-        def force_windowed(self, profiles, rng, **kwargs):
-            kwargs.pop("plan", None)
-            return reference_engine.run_workload(self, profiles, rng, **kwargs)
+        def plan_nothing(profiles, rng, core_ids, ops_per_core, warmup_fraction,
+                         scratch=None):
+            return rng, len(core_ids), ops_per_core, warmup_fraction
+
+        def force_windowed(self, profiles, plan):
+            rng, active_cores, ops_per_core, warmup_fraction = plan
+            return reference_engine.run_workload(
+                self, profiles, rng,
+                active_cores=active_cores,
+                ops_per_core=ops_per_core,
+                warmup_fraction=warmup_fraction,
+            )
 
         with monkeypatch.context() as patch:
             # The testbed pre-draws each slave's synthesis into a plan;
             # the per-op oracle must receive the rng *unconsumed* and
-            # draw per window itself, so stub the pre-planning out.
+            # draw per window itself, so the stubbed planner hands it the
+            # slave's rng and settings instead of a plan.
             import repro.cluster.testbed as testbed_mod
 
-            patch.setattr(
-                testbed_mod, "plan_workload", lambda *args, **kwargs: None
-            )
+            patch.setattr(testbed_mod, "plan_workload", plan_nothing)
             windowed = self._characterize(force_windowed, patch)
 
         # Metrics, per-slave detail and fault accounting all agree; the

@@ -200,34 +200,73 @@ def set_states(cache: SetAssociativeCache) -> list:
     ]
 
 
+def _lay_out(gaps_and_counts) -> list[tuple[int, int]]:
+    spans, first = [], 0
+    for gap, count in gaps_and_counts:
+        spans.append((first + gap, count))
+        first += gap + count
+    return spans
+
+
+def disjoint_spans(max_gap: int, max_count: int, max_size: int):
+    """Disjoint ``(first_line, count)`` spans, in any install order (the
+    pre-warm protocol's input)."""
+    return (
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=max_gap),
+                st.integers(min_value=1, max_value=max_count),
+            ),
+            max_size=max_size,
+        )
+        .map(_lay_out)
+        .flatmap(st.permutations)
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     geometry=st.sampled_from([(1, 1), (2, 4), (4, 3), (8, 64), (16, 96)]),
-    spans=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=20_000),
-            st.integers(min_value=1, max_value=8_000),
-        ),
-        max_size=5,
-    ),
-    preinstalled=st.lists(st.integers(min_value=0, max_value=30_000), max_size=5),
+    spans=disjoint_spans(max_gap=4_000, max_count=8_000, max_size=5),
     first_touch=st.booleans(),
 )
-def test_fill_matches_per_line_installs(geometry, spans, preinstalled, first_touch):
+def test_fill_matches_per_line_installs(geometry, spans, first_touch):
     """``fill`` ends in the per-line state — keys, LRU order and dirty
     bits — for spans shorter than the set count, up to and past 4x the
-    capacity, overlapping or not, into an empty or a used cache, on mask-
-    and modulo-indexed geometries, written in one pass or built on first
-    touch."""
+    capacity, on mask- and modulo-indexed geometries, written in one pass
+    or built on first touch."""
     assoc, sets = geometry
     fill_cache = small_cache(assoc=assoc, sets=sets, first_touch=first_touch)
     line_cache = small_cache(assoc=assoc, sets=sets)
-    for cache in (fill_cache, line_cache):
-        for line in preinstalled:
-            cache.access(line * 64, is_write=True)
     fill_cache.fill(spans)
     install_spans(line_cache, spans)
     assert set_states(fill_cache) == set_states(line_cache)
+
+
+@pytest.mark.parametrize("first_touch", [False, True])
+def test_fill_refuses_a_used_cache_and_overlapping_spans(first_touch):
+    """``fill`` only pre-warms: an empty cache, from disjoint spans.  Any
+    other input raises and leaves the cache as it was."""
+    cache = small_cache(assoc=2, sets=4, first_touch=first_touch)
+    with pytest.raises(ConfigurationError, match="overlap"):
+        cache.fill([(0, 8), (4, 8)])
+    assert cache.resident_lines == 0
+    cache.access(5 * 64, is_write=True)
+    with pytest.raises(ConfigurationError, match="empty"):
+        cache.fill([(8, 4)])
+    assert [line for line in range(16) if cache.line_resident(line)] == [5]
+    cache.flush()
+    cache.fill([(8, 4)])
+    with pytest.raises(ConfigurationError, match="empty"):
+        cache.fill([(0, 4)])  # the recorded or written spans count as used
+
+
+def test_eager_fill_refuses_more_than_255_ways():
+    with pytest.raises(ConfigurationError, match="255"):
+        small_cache(assoc=256, sets=1).fill([(0, 4)])
+    wide = small_cache(assoc=256, sets=1, first_touch=True)
+    wide.fill([(0, 4)])
+    assert wide.resident_lines == 4
 
 
 @settings(max_examples=50, deadline=None)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.arch.batch import synthesize_compact
-from repro.arch.cache import CacheConfig, SetAssociativeCache
+from repro.arch.cache import LINE_SHIFT, CacheConfig, SetAssociativeCache
 from repro.arch.coherence import CoherenceDirectory
 from repro.arch.core_model import CoreModel
 from repro.arch.trace import InstructionMix, PhaseProfile
@@ -24,6 +24,18 @@ def make_core(core_id: int = 0, shared=None):
 def run_sample(core, p, n_ops, rng):
     """Synthesise ``n_ops`` ops of ``p`` for ``core`` and simulate them."""
     return core.run_compact(synthesize_compact(p, n_ops, core.core_id, rng))
+
+
+def prewarm(core, p):
+    """Fill each of ``core``'s caches (and the L3) from its pre-warm
+    spans, with the whole warm tier and the shared regions."""
+    spans = core.prewarm_spans(
+        p,
+        private_budget_lines=core.l3.config.size >> LINE_SHIFT,
+        install_shared_and_code=True,
+    )
+    for cache, cache_spans in spans.items():
+        cache.fill(cache_spans)
 
 
 def profile(**overrides) -> PhaseProfile:
@@ -58,7 +70,7 @@ def test_sample_counts_basic_consistency():
 def test_small_footprint_mostly_hits():
     core, _ = make_core()
     p = profile(code_footprint=4096, data_working_set=8192, hot_data_fraction=0.9)
-    core.prewarm(p)
+    prewarm(core, p)
     run_sample(core, p, 2000, np.random.default_rng(2))  # warm
     counts = run_sample(core, p, 5000, np.random.default_rng(3))
     assert counts.load_llc_miss / counts.instructions < 0.01
@@ -70,8 +82,8 @@ def test_bigger_code_footprint_more_l1i_misses():
     rng = np.random.default_rng(4)
     small_p = profile(code_footprint=16 * 1024)
     big_p = profile(code_footprint=4 * 1024 * 1024)
-    small_core.prewarm(small_p)
-    big_core.prewarm(big_p)
+    prewarm(small_core, small_p)
+    prewarm(big_core, big_p)
     small = run_sample(small_core, small_p, 8000, rng)
     big = run_sample(big_core, big_p, 8000, np.random.default_rng(4))
     assert big.l1i_misses > small.l1i_misses
@@ -130,7 +142,7 @@ def test_prewarm_reduces_llc_misses():
     rng_a = np.random.default_rng(8)
     rng_b = np.random.default_rng(8)
     cold = run_sample(cold_core, p, 6000, rng_a)
-    warm_core.prewarm(p)
+    prewarm(warm_core, p)
     warm = run_sample(warm_core, p, 6000, rng_b)
     assert warm.load_llc_miss < cold.load_llc_miss
 

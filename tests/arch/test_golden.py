@@ -17,6 +17,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.arch.batch import plan_workload
 from repro.arch.processor import Processor
 from repro.cluster import CollectionConfig, MeasurementConfig, characterize_suite
 from repro.service.store import CACHE_DIR_ENV
@@ -87,9 +88,9 @@ def workload_profiles():
 @pytest.mark.parametrize("name,seed", sorted(RUN_WORKLOAD_DIGESTS))
 def test_run_workload_digest(workload_profiles, name, seed):
     rng = np.random.default_rng(seed)
-    events = Processor().run_workload(
-        workload_profiles[name], rng, active_cores=2, ops_per_core=800
-    )
+    profiles = workload_profiles[name]
+    plan = plan_workload(profiles, rng, [0, 1], 800, 0.3)
+    events = Processor().run_workload(profiles, plan)
     digest = run_workload_digest(events, rng.bit_generator.state)
     assert digest == RUN_WORKLOAD_DIGESTS[(name, seed)]
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.arch.cache import CacheAccess, CacheConfig, CacheStats, SetAssociativeCache
 from repro.arch.tlb import Tlb, TlbConfig
+from tests.arch.test_cache import disjoint_spans
 
 
 class LruCacheModel:
@@ -140,10 +141,7 @@ def cache_ops(assoc: int):
             st.tuples(st.just("probe"), key),
             st.tuples(
                 st.just("fill"),
-                st.lists(
-                    st.tuples(st.integers(0, 3_000), st.integers(1, 2_000)),
-                    max_size=3,
-                ),
+                disjoint_spans(max_gap=1_000, max_count=2_000, max_size=3),
             ),
             st.tuples(st.just("flush"), st.none()),
         ),
@@ -163,22 +161,27 @@ def cache_ops(assoc: int):
 def test_cache_matches_ordered_dict_model(case, write_back, first_touch):
     """Mask- and modulo-indexed geometries (sets x ways), write-back and
     write-through, eager or first-touch sets, from an empty cache through
-    any mix of demand accesses, prefetch installs, fills (the one-pass or
-    recorded path on an empty cache, the per-line path otherwise),
-    invalidations, write-back landings and flushes."""
+    any mix of demand accesses, prefetch installs, fills (drawn only on an
+    empty cache that has not been filled since its last flush: pre-warm's
+    precondition), invalidations, write-back landings and flushes."""
     (num_sets, assoc), ops = case
     cache = SetAssociativeCache(
         CacheConfig("oracle", num_sets * assoc * 64, assoc, write_back=write_back),
         first_touch=first_touch,
     )
     model = LruCacheModel(num_sets, assoc, write_back)
+    filled = False
     for op, arg in ops:
         if op == "fill":
+            if filled or any(model.sets):
+                continue
             cache.fill(arg)
             model.fill(arg)
+            filled = True
         elif op == "flush":
             cache.flush()
             model.flush()
+            filled = False
         else:
             tag, index = arg
             line = tag * num_sets + index % num_sets

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arch.cache import SetAssociativeCache
+from repro.arch.batch import plan_workload
 from repro.arch.processor import Processor, ProcessorConfig, events_from_sample
 from repro.arch.pipeline import CycleModel, SampleCounts
 from repro.arch.trace import InstructionMix, PhaseProfile
@@ -39,66 +39,66 @@ class TestConfig:
             ProcessorConfig(sockets=0)
 
 
+def run(processor, phases, seed, active_cores=2, ops_per_core=2000):
+    """``run_workload`` over a plan drawn from ``default_rng(seed)``."""
+    plan = plan_workload(
+        phases,
+        np.random.default_rng(seed),
+        [core.core_id for core in processor.cores[:active_cores]],
+        ops_per_core,
+        0.3,
+    )
+    return processor.run_workload(phases, plan)
+
+
 class TestRunPhase:
+    """One phase, run as a one-phase workload."""
+
     def test_produces_all_required_events(self):
-        processor = Processor()
-        events = processor.run_phase(
-            profile(), np.random.default_rng(1), active_cores=2, ops_per_core=2000
-        )
+        events = run(Processor(), [profile()], 1)
         assert set(REQUIRED_EVENTS) <= set(events)
 
     def test_events_scaled_to_nominal_instructions(self):
-        processor = Processor()
-        events = processor.run_phase(
-            profile(instructions=5_000_000),
-            np.random.default_rng(2),
-            active_cores=2,
-            ops_per_core=2000,
-        )
+        events = run(Processor(), [profile(instructions=5_000_000)], 2)
         assert events["inst_retired.any"] == pytest.approx(5_000_000)
 
-    def test_active_cores_bounds(self):
-        processor = Processor()
-        with pytest.raises(ConfigurationError):
-            processor.run_phase(profile(), np.random.default_rng(3), active_cores=7)
-        with pytest.raises(ConfigurationError):
-            processor.run_phase(profile(), np.random.default_rng(3), active_cores=0)
-
     def test_ops_per_core_must_be_positive(self):
-        processor = Processor()
         with pytest.raises(ConfigurationError):
-            processor.run_phase(
-                profile(), np.random.default_rng(4), ops_per_core=0
-            )
+            run(Processor(), [profile()], 4, ops_per_core=0)
 
 
 class TestRunWorkload:
     def test_phases_sum(self):
-        processor = Processor()
         phases = [profile(instructions=1_000_000), profile(instructions=3_000_000)]
-        events = processor.run_workload(
-            phases, np.random.default_rng(5), active_cores=2, ops_per_core=1500
-        )
+        events = run(Processor(), phases, 5, ops_per_core=1500)
         assert events["inst_retired.any"] == pytest.approx(4_000_000)
 
     def test_empty_phase_list_raises(self):
         with pytest.raises(ConfigurationError):
-            Processor().run_workload([], np.random.default_rng(6))
+            Processor().run_workload([], [])
+
+    def test_plan_must_cover_every_phase(self):
+        phases = [profile(), profile()]
+        plan = plan_workload(phases[:1], np.random.default_rng(6), [0], 100, 0.3)
+        with pytest.raises(ConfigurationError):
+            Processor().run_workload(phases, plan)
+
+    def test_plan_decides_the_active_cores(self):
+        """Only the cores the plan has samples for run (and are
+        pre-warmed); the rest of the socket stays empty."""
+        processor = Processor()
+        run(processor, [profile()], 6, active_cores=3, ops_per_core=500)
+        assert all(core.l1d.resident_lines for core in processor.cores[:3])
+        assert not any(core.l1d.resident_lines for core in processor.cores[3:])
 
     def test_determinism(self):
-        a = Processor().run_workload(
-            [profile()], np.random.default_rng(7), active_cores=2, ops_per_core=1500
-        )
-        b = Processor().run_workload(
-            [profile()], np.random.default_rng(7), active_cores=2, ops_per_core=1500
-        )
+        a = run(Processor(), [profile()], 7, ops_per_core=1500)
+        b = run(Processor(), [profile()], 7, ops_per_core=1500)
         assert a == b
 
     def test_reset_between_workloads(self):
         processor = Processor()
-        processor.run_workload(
-            [profile()], np.random.default_rng(8), active_cores=2, ops_per_core=1000
-        )
+        run(processor, [profile()], 8, ops_per_core=1000)
         processor.reset()
         assert processor.l3.resident_lines == 0
         assert processor.directory.tracked_lines == 0
@@ -147,7 +147,7 @@ def cache_states(processor: Processor, active_cores: int) -> list:
     ],
 )
 def test_start_workload_fill_equals_per_line_prewarm(
-    monkeypatch, active_cores, shared_fraction, footprint, config
+    active_cores, shared_fraction, footprint, config
 ):
     """The one-pass fill leaves every cache exactly as installing each
     pre-warm span line by line does (same keys, LRU order, dirty bits).
@@ -157,16 +157,8 @@ def test_start_workload_fill_equals_per_line_prewarm(
     per_line = Processor(config)
     # Dirty state from an earlier workload must not leak into either.
     for processor in (filled, per_line):
-        processor.run_workload(
-            phases, np.random.default_rng(9), active_cores=active_cores,
-            ops_per_core=100,
-        )
+        run(processor, phases, 9, active_cores=active_cores, ops_per_core=100)
     reference_engine.start_workload(per_line, phases, active_cores)
-
-    def no_per_line_fallback(self, line_addr):
-        raise AssertionError("start_workload fell back to per-line installs")
-
-    monkeypatch.setattr(SetAssociativeCache, "install_line", no_per_line_fallback)
     filled.start_workload(phases, active_cores)
     assert cache_states(filled, active_cores) == cache_states(per_line, active_cores)
 
@@ -179,9 +171,7 @@ def test_l3_builds_only_the_sets_a_sample_reaches():
                       shared_working_set=2 << 20)]
     processor.start_workload(phases, active_cores=4)
     assert len(processor.l3._sets) == 0
-    processor.run_workload(
-        phases, np.random.default_rng(10), active_cores=4, ops_per_core=500
-    )
+    run(processor, phases, 10, active_cores=4, ops_per_core=500)
     assert 0 < len(processor.l3._sets) < processor.l3.config.num_sets == 12_288
 
 

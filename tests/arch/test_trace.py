@@ -17,7 +17,6 @@ from repro.arch.trace import (
     InstructionMix,
     PhaseProfile,
     StreamColumns,
-    merge_profiles,
     synthesize_columns,
 )
 from repro.errors import ConfigurationError
@@ -79,11 +78,6 @@ class TestPhaseProfileValidation:
     def test_uops_below_one_raises(self):
         with pytest.raises(ConfigurationError):
             profile(uops_per_instruction=0.9)
-
-    def test_scaled(self):
-        base = profile(instructions=1000)
-        assert base.scaled(2.5).instructions == 2500
-        assert base.scaled(1e-9).instructions == 1  # floor at one
 
 
 def synthesize(p, n_ops, core_id, seed):
@@ -155,26 +149,6 @@ class TestSynthesis:
     def test_n_ops_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             synthesize(profile(), 0, 0, 0)
-
-
-class TestMergeProfiles:
-    def test_weighted_average_by_instructions(self):
-        a = profile(instructions=1000, kernel_fraction=0.0)
-        b = profile(instructions=3000, kernel_fraction=0.4)
-        merged = merge_profiles("merged", [a, b])
-        assert merged.instructions == 4000
-        assert merged.kernel_fraction == pytest.approx(0.3)
-
-    def test_footprints_take_maximum(self):
-        a = profile(code_footprint=1 << 20, data_working_set=1 << 22)
-        b = profile(code_footprint=1 << 21, data_working_set=1 << 20)
-        merged = merge_profiles("merged", [a, b])
-        assert merged.code_footprint == 1 << 21
-        assert merged.data_working_set == 1 << 22
-
-    def test_empty_list_raises(self):
-        with pytest.raises(ConfigurationError):
-            merge_profiles("merged", [])
 
 
 @settings(max_examples=20, deadline=None)

@@ -62,6 +62,20 @@ class TestMeasurementConfig:
             MeasurementConfig(slaves_measured=5)
         with pytest.raises(ConfigurationError):
             MeasurementConfig(perf_repeats=0)
+        with pytest.raises(ConfigurationError):
+            MeasurementConfig(active_cores=0)
+        with pytest.raises(ConfigurationError):
+            MeasurementConfig(ops_per_core=0)
+
+    def test_more_active_cores_than_a_socket_raises(self):
+        """Seven cores cannot run on a six-core socket: refused, not
+        quietly simulated on six under a config that says seven."""
+        with pytest.raises(ConfigurationError, match="active_cores=7"):
+            Cluster().characterize_workload(
+                workload_by_name("S-Grep"),
+                RunContext(scale=0.2, seed=5),
+                MeasurementConfig(slaves_measured=1, active_cores=7),
+            )
 
 
 class TestCharacterization:

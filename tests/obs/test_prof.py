@@ -376,6 +376,28 @@ def test_profile_agent_serves_a_window_end_to_end(tmp_path, monkeypatch):
     ), span_totals(merged)
 
 
+def test_poke_joins_a_window_without_waiting_for_the_poll(
+    tmp_path, monkeypatch
+):
+    """The publishing process's agent joins its own window at once: with
+    polls 30 s apart, only the poke can open a 2 s window in time."""
+    monkeypatch.setattr(fleet, "POLL_S", 30.0)
+    agent = TelemetryAgent(
+        tmp_path, instance="poked", role="test", registry=MetricsRegistry()
+    ).start()
+    try:
+        time.sleep(0.1)  # the loop is now in its 30 s wait
+        request = request_profile(tmp_path, seconds=2.0, interval_ms=2.0)
+        agent.poke()
+        deadline = time.monotonic() + 1.0
+        while agent._window is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert agent._window is not None
+        assert agent._window[1] == request["id"]
+    finally:
+        agent.close()
+
+
 def _open_window(agent: TelemetryAgent, root, seconds: float) -> dict:
     request = request_profile(root, seconds=seconds, interval_ms=2.0)
     deadline = time.monotonic() + 5.0

@@ -56,6 +56,25 @@ class TestCharacterize:
         err = capsys.readouterr().err
         assert "H-Sort" in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--cores", "7"], "active_cores=7"),
+            (["--cores", "0"], "active_cores"),
+            (["--ops", "0"], "ops_per_core"),
+            (["--slaves", "5"], "slaves_measured"),
+        ],
+        ids=["cores-7", "cores-0", "ops-0", "slaves-5"],
+    )
+    def test_bad_measurement_exits_2_with_one_line(self, capsys, flags, message):
+        code = main(["characterize", "H-Sort", "--scale", "0.1", *flags])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.err.startswith("repro: ")
+        assert captured.err.count("\n") == 1
+        assert message in captured.err
+
 
 class TestCharacterizeTimeline:
     def test_timeline_flag_prints_summary(self, capsys):
