@@ -6,10 +6,11 @@ though: ALU/FP/other ops only
 advance the tick, branches only train the (self-contained) predictor, and
 the majority of frontend fetches re-probe the 64-byte line the previous
 fetch just made MRU — a guaranteed hit that changes nothing but four
-counters.  This module exploits that: it synthesises *all* windows of a
-workload (warm-up and measured samples for every core, every phase) in
-one up-front vectorised pass over preallocated buffers, then compacts
-each sample down to the events the simulation actually has to execute.
+counters.  This module exploits that: it synthesises every window of a
+workload up front (warm-up and measured samples for every core, every
+phase), one vectorised pass per sample over shared preallocated
+buffers, and compacts each sample down to the events the simulation
+actually has to execute.
 
 A :class:`CompactSample` carries, per sample:
 

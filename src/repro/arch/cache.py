@@ -11,10 +11,7 @@ instrumentation layer synthesises from engine activity.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import setitem
 from typing import NamedTuple
 
 from repro.errors import ConfigurationError
@@ -28,11 +25,6 @@ __all__ = [
 ]
 
 LINE_SHIFT = 6  # 64-byte lines throughout the hierarchy (Table III)
-
-#: A set's free ways after one more line lands in it (byte ``r`` maps to
-#: ``r - 1``; a full set stays full).
-_TAKE_WAY = bytes([0, *range(255)])
-
 
 def _is_power_of_two(value: int) -> bool:
     return value > 0 and (value & (value - 1)) == 0
@@ -111,21 +103,54 @@ class CacheStats:
         return self.misses / self.accesses if self.accesses else 0.0
 
 
+def _set_templates(
+    spans: list[tuple[int, int]], num_sets: int, assoc: int
+) -> tuple[list[int], list[dict[int, bool]]]:
+    """The sets a pre-warm from ``spans`` leaves, one template per run.
+
+    Pre-warm installs each ``(first_line, count)`` span coldest first,
+    span after span (:meth:`SetAssociativeCache.fill`).  From an empty
+    cache and disjoint spans, set ``i`` ends with, from each span,
+    hottest first, its lines of set ``i`` (``range(first + (i - first) %
+    num_sets, first + count, num_sets)``), up to ``assoc`` lines in all,
+    clean and least recently used first.  Line ``k * num_sets + i`` has
+    tag ``k`` whatever ``i`` is, so the tags only change where ``i``
+    crosses a span's first or end set.
+
+    Returns:
+        ``(cuts, templates)``: the sorted first index of each run of
+        sets between such cuts (``cuts[0]`` is 0), and each run's set
+        as a tag-to-dirty-bit ``dict``, to be copied, not shared.
+    """
+    hottest = spans[::-1]
+    cuts = sorted(
+        {0}.union(
+            *((first % num_sets, (first + count) % num_sets)
+              for first, count in hottest)
+        )
+    )
+    templates = []
+    for index in cuts:
+        lines: list[int] = []
+        for first, count in hottest:
+            lines += range(
+                first + (index - first) % num_sets, first + count, num_sets
+            )[:assoc]
+        tags = [line // num_sets for line in lines[assoc - 1 :: -1]]
+        templates.append(dict.fromkeys(tags, False))
+    return cuts, templates
+
+
 class _FirstTouchSets(dict):
     """A cache's sets keyed by index, each built on its first read.
 
-    After :meth:`record`, reading a missing index ``i`` builds the set
-    the eager fill would have left there: from each span, hottest first,
-    its lines of set ``i`` (``range(first + (i - first) % num_sets,
-    first + count, num_sets)``), up to ``assoc`` lines in all, stored
-    clean and least recently used first.  Those lines are ``i`` plus
-    offsets that change only where ``i`` crosses a span's first or end
-    set, so :meth:`record` works the offsets out once for each run of
-    set indices between such cuts, and a build is one lookup and one
-    ``dict.fromkeys``.
+    After :meth:`record`, reading a missing index ``i`` builds the set a
+    pre-warm from the recorded spans leaves there: a copy of the
+    template of ``i``'s run (:func:`_set_templates`), one ``bisect`` and
+    one ``dict.copy``.
     """
 
-    __slots__ = ("num_sets", "assoc", "cuts", "offsets")
+    __slots__ = ("num_sets", "assoc", "cuts", "templates")
 
     def __init__(self, num_sets: int, assoc: int) -> None:
         super().__init__()
@@ -137,38 +162,26 @@ class _FirstTouchSets(dict):
         """Drop every built set and build from ``spans`` (``(first_line,
         count)``, coldest first) from now on."""
         self.clear()
-        num_sets, assoc = self.num_sets, self.assoc
-        hottest = spans[::-1]
-        self.cuts = sorted(
-            {0}.union(
-                *((first % num_sets, (first + count) % num_sets)
-                  for first, count in hottest)
-            )
+        self.cuts, self.templates = _set_templates(
+            spans, self.num_sets, self.assoc
         )
-        self.offsets: list[tuple[int, ...]] = []
-        for index in self.cuts:
-            lines: list[int] = []
-            for first, count in hottest:
-                lines += range(
-                    first + (index - first) % num_sets, first + count, num_sets
-                )[:assoc]
-            self.offsets.append(
-                tuple(line - index for line in lines[assoc - 1 :: -1])
-            )
 
     def __missing__(self, index: int) -> dict[int, bool]:
-        offsets = self.offsets[bisect_right(self.cuts, index) - 1]
-        cache_set = self[index] = dict.fromkeys(map(index.__add__, offsets), False)
+        template = self.templates[bisect_right(self.cuts, index) - 1]
+        cache_set = self[index] = template.copy()
         return cache_set
 
 
 class SetAssociativeCache:
     """A write-back, write-allocate set-associative cache with true LRU.
 
-    Each set is a plain ``dict`` mapping line address to a dirty bit.  Its
-    insertion order is the LRU order, least recently used first: a hit
-    re-inserts its line at the end (``s[line] = s.pop(line)``) and the
-    victim is the first key.
+    Each set is a plain ``dict`` mapping a resident line's tag (``line //
+    num_sets``) to its dirty bit; set ``i`` holds line ``tag * num_sets
+    + i``.  Its insertion order is the LRU order, least recently used
+    first: a hit re-inserts its tag at the end (``s[tag] = s.pop(tag)``)
+    and the victim is the first key.  Tags rather than lines, so that
+    every set a pre-warm leaves in one run of indices is a copy of one
+    template.
 
     ``_sets`` is a list of every set, or with ``first_touch`` a
     :class:`_FirstTouchSets` that builds each set from the recorded
@@ -193,7 +206,8 @@ class SetAssociativeCache:
         self.stats = CacheStats()
         self._num_sets = config.num_sets
         # Power-of-two set counts (every cache but the modelled L3) index
-        # with a precomputed mask; 0 means "fall back to modulo".
+        # with a precomputed mask in the fused kernel, which takes the
+        # tag as ``line >> _set_mask.bit_length()``; 0 means "modulo".
         self._set_mask = (
             self._num_sets - 1 if _is_power_of_two(self._num_sets) else 0
         )
@@ -210,9 +224,10 @@ class SetAssociativeCache:
         """Return the line-aligned address containing byte ``addr``."""
         return addr >> self._line_shift
 
-    def _set_for(self, line_addr: int) -> dict[int, bool]:
-        mask = self._set_mask
-        return self._sets[line_addr & mask if mask else line_addr % self._num_sets]
+    def _locate(self, line_addr: int) -> tuple[dict[int, bool], int]:
+        """The set that holds ``line_addr``, and the line's tag there."""
+        tag, index = divmod(line_addr, self._num_sets)
+        return self._sets[index], tag
 
     def access(self, addr: int, is_write: bool = False) -> CacheAccess:
         """Access byte address ``addr``; fill on miss (write-allocate).
@@ -221,24 +236,25 @@ class SetAssociativeCache:
             A :class:`CacheAccess` describing hit/miss and any eviction.
         """
         line = addr >> self._line_shift
-        cache_set = self._set_for(line)
+        cache_set, tag = self._locate(line)
         stats = self.stats
-        if line in cache_set:
+        if tag in cache_set:
             stats.hits += 1
-            dirty = cache_set.pop(line)
-            cache_set[line] = True if is_write else dirty
+            dirty = cache_set.pop(tag)
+            cache_set[tag] = True if is_write else dirty
             return CacheAccess(True, line)
         stats.misses += 1
         evicted_line = None
         writeback = False
         if len(cache_set) >= self._assoc:
-            evicted_line = next(iter(cache_set))
-            evicted_dirty = cache_set.pop(evicted_line)
+            victim = next(iter(cache_set))
+            evicted_dirty = cache_set.pop(victim)
+            evicted_line = line + (victim - tag) * self._num_sets
             stats.evictions += 1
             if evicted_dirty and self._write_back:
                 stats.writebacks += 1
                 writeback = True
-        cache_set[line] = is_write
+        cache_set[tag] = is_write
         return CacheAccess(False, line, evicted_line, writeback)
 
     def install_line(self, line_addr: int) -> None:
@@ -249,16 +265,13 @@ class SetAssociativeCache:
         the caller models prefetches as best-effort and ignores dirty
         victims, a second-order effect).
         """
-        mask = self._set_mask
-        cache_set = self._sets[
-            line_addr & mask if mask else line_addr % self._num_sets
-        ]
-        if line_addr in cache_set:
-            cache_set[line_addr] = cache_set.pop(line_addr)
+        cache_set, tag = self._locate(line_addr)
+        if tag in cache_set:
+            cache_set[tag] = cache_set.pop(tag)
             return
         if len(cache_set) >= self._assoc:
             del cache_set[next(iter(cache_set))]
-        cache_set[line_addr] = False
+        cache_set[tag] = False
 
     def fill(self, spans: list[tuple[int, int]]) -> None:
         """Pre-warm this empty cache from disjoint ``(first_line, count)``
@@ -267,23 +280,21 @@ class SetAssociativeCache:
         Ends in the state of ``install_line(first_line + offset)`` for
         ``offset`` from ``count - 1`` down to 0, span after span: the
         pre-warm protocol, hundreds of thousands of lines.  From an empty
-        cache and disjoint spans, each set simply ends with the last
-        ``assoc`` lines installed into it, clean, in install order.  A
-        first-touch cache only records the spans, and builds each set
-        from them when it is first read; any other cache writes only
-        those lines, in one pass.
+        cache and disjoint spans, every set in one run of indices between
+        the spans' first and end sets ends with the same tags
+        (:func:`_set_templates`).  A first-touch cache only records the
+        spans, and copies a set's template when the set is first read;
+        any other cache copies every set's template now.
 
         Raises:
             ConfigurationError: If the cache already holds lines or
-                spans, if two spans overlap, or if an eager cache has
-                more than 255 ways (the one pass counts free ways in
-                bytes).
+                spans, or if two spans overlap.
         """
         sets = self._sets
         name = self.config.name
         first_touch = isinstance(sets, _FirstTouchSets)
         if first_touch:
-            used = any(sets.offsets) or any(sets.values())
+            used = any(sets.templates) or any(sets.values())
         else:
             used = any(sets)
         if used:
@@ -297,45 +308,23 @@ class SetAssociativeCache:
         if first_touch:
             sets.record(spans)
             return
-        if self._assoc > 255:
-            raise ConfigurationError(f"{name}: fill handles at most 255 ways")
         num_sets = self._num_sets
-        # Walk the lines hottest first (spans last to first, each upward
-        # from its first line) in blocks that never wrap past the last
-        # set, so a block's lines land in distinct, consecutive sets under
-        # mask and modulo indexing alike.  A line survives iff its set
-        # still has a free way when the walk reaches it; a span's lines
-        # past its first ``capacity`` never do.
-        free = bytearray([self._assoc]) * num_sets
-        capacity = num_sets * self._assoc
-        blocks = []
-        for first_line, count in reversed(spans):
-            low, end = first_line, first_line + min(count, capacity)
-            while low < end:
-                index = low % num_sets
-                high = min(end, low - index + num_sets)
-                stop = index + high - low
-                ways = free[index:stop]
-                if ways.count(0) < len(ways):
-                    free[index:stop] = ways.translate(_TAKE_WAY)
-                    lines, targets = range(low, high), sets[index:stop]
-                    if 0 in ways:
-                        lines = compress(lines, ways)
-                        targets = list(compress(targets, ways))
-                    blocks.append((targets, lines))
-                low = high
-        # Each set receives at most one line per block, so writing the
-        # blocks coldest first reproduces every set's install order.
-        for targets, lines in reversed(blocks):
-            deque(map(setitem, targets, lines, repeat(False)), maxlen=0)
+        cuts, templates = _set_templates(spans, num_sets, self._assoc)
+        sets[:] = [
+            template.copy()
+            for template, low, high in zip(templates, cuts, cuts[1:] + [num_sets])
+            for _ in range(low, high)
+        ]
 
     def line_resident(self, line_addr: int) -> bool:
         """Whether line-aligned address ``line_addr`` is resident."""
-        return line_addr in self._set_for(line_addr)
+        cache_set, tag = self._locate(line_addr)
+        return tag in cache_set
 
     def is_dirty(self, line_addr: int) -> bool:
         """Whether resident line ``line_addr`` is dirty (False if absent)."""
-        return self._set_for(line_addr).get(line_addr, False)
+        cache_set, tag = self._locate(line_addr)
+        return cache_set.get(tag, False)
 
     def invalidate_line(self, line_addr: int) -> bool:
         """Drop line ``line_addr`` if present (coherence invalidation).
@@ -344,10 +333,10 @@ class SetAssociativeCache:
             True if the line was present and dirty (i.e. data was lost to
             the invalidation and must have been transferred).
         """
-        cache_set = self._set_for(line_addr)
-        if line_addr not in cache_set:
+        cache_set, tag = self._locate(line_addr)
+        if tag not in cache_set:
             return False
-        dirty = cache_set.pop(line_addr)
+        dirty = cache_set.pop(tag)
         self.stats.invalidations += 1
         return dirty
 
@@ -357,15 +346,15 @@ class SetAssociativeCache:
         Returns:
             True if the line was resident (the write-back was absorbed).
         """
-        cache_set = self._set_for(line_addr)
-        if line_addr in cache_set:
-            cache_set[line_addr] = True
+        cache_set, tag = self._locate(line_addr)
+        if tag in cache_set:
+            cache_set[tag] = True
             return True
         return False
 
     def flush(self) -> None:
         """Empty the cache, keeping statistics.  A first-touch cache drops
-        its built sets and its spans at once."""
+        its built sets and its templates at once."""
         sets = self._sets
         if isinstance(sets, _FirstTouchSets):
             sets.record([])

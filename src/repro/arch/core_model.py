@@ -14,7 +14,12 @@ caches', TLBs' and directory's hot paths over their internal sets and
 keeps every counter in a local.  Every set is a plain ``dict`` whose
 insertion order is the LRU order: a hit re-inserts its key
 (``s[k] = s.pop(k)``, or ``del s[k]`` then a store that dirties it) and
-the victim is the first key, ``next(iter(s))``.
+the victim is the first key, ``next(iter(s))``.  A TLB set is keyed by
+page; a cache set by the line's tag, ``line >> shift`` in a private
+cache and ``line // num_sets`` in the L3.  Where the kernel needs a
+private victim's line back (to back-invalidate the L1D, to write back
+into the L2, for the directory) it rebuilds it as ``tag << shift |
+index``; of an L3 victim it only reads the dirty bit.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ def _prefetch_pair(
     l1d_sets, l1d_mask, l1d_assoc,
     l2_sets, l2_mask, l2_assoc,
     l3_sets, l3_nsets, l3_assoc,
+    l1d_shift, l2_shift,
 ):
     """Install ``line + 1`` and ``line + 2`` throughout the hierarchy.
 
@@ -70,28 +76,31 @@ def _prefetch_pair(
     offcore = 0
     for ahead in (line + 1, line + 2):
         a_set = l2_sets[ahead & l2_mask]
-        if ahead not in a_set:
+        a_tag = ahead >> l2_shift
+        if a_tag not in a_set:
             offcore += 1
         d_set = l1d_sets[ahead & l1d_mask]
-        if ahead in d_set:
-            d_set[ahead] = d_set.pop(ahead)
+        d_tag = ahead >> l1d_shift
+        if d_tag in d_set:
+            d_set[d_tag] = d_set.pop(d_tag)
         else:
             if len(d_set) >= l1d_assoc:
                 del d_set[next(iter(d_set))]
-            d_set[ahead] = False
-        if ahead in a_set:
-            a_set[ahead] = a_set.pop(ahead)
+            d_set[d_tag] = False
+        if a_tag in a_set:
+            a_set[a_tag] = a_set.pop(a_tag)
         else:
             if len(a_set) >= l2_assoc:
                 del a_set[next(iter(a_set))]
-            a_set[ahead] = False
+            a_set[a_tag] = False
         a_set = l3_sets[ahead % l3_nsets]
-        if ahead in a_set:
-            a_set[ahead] = a_set.pop(ahead)
+        tag = ahead // l3_nsets
+        if tag in a_set:
+            a_set[tag] = a_set.pop(tag)
         else:
             if len(a_set) >= l3_assoc:
                 del a_set[next(iter(a_set))]
-            a_set[ahead] = False
+            a_set[tag] = False
     return offcore
 
 
@@ -248,6 +257,11 @@ class CoreModel:
         l1d_sets, l1d_mask, l1d_assoc = l1d._sets, l1d._set_mask, l1d._assoc
         l2 = self.l2
         l2_sets, l2_mask, l2_assoc = l2._sets, l2._set_mask, l2._assoc
+        # The private caches have power-of-two set counts: a line's tag
+        # is ``line >> shift`` and its set ``line & mask``.
+        l1i_shift = l1i_mask.bit_length()
+        l1d_shift = l1d_mask.bit_length()
+        l2_shift = l2_mask.bit_length()
         l3 = self.l3
         l3_sets, l3_nsets, l3_assoc = l3._sets, l3._num_sets, l3._assoc
         itlb = self.itlb
@@ -362,46 +376,51 @@ class CoreModel:
                         tlb_set[fpage] = None
                     last_ipage = fpage
                 cache_set = l1i_sets[fline & l1i_mask]
-                if fline in cache_set:
+                tag = fline >> l1i_shift
+                if tag in cache_set:
                     l1i_hits += 1
-                    cache_set[fline] = cache_set.pop(fline)
+                    cache_set[tag] = cache_set.pop(tag)
                     hit = True
                 else:
                     l1i_misses += 1
                     if len(cache_set) >= l1i_assoc:
                         del cache_set[next(iter(cache_set))]
                         l1i_evictions += 1
-                    cache_set[fline] = False
+                    cache_set[tag] = False
                     hit = False
                 if fline == last_fetch_line + 1:
                     # Next-line prefetcher (install_line: silent victims).
                     ahead = fline + 1
                     a_set = l1i_sets[ahead & l1i_mask]
-                    if ahead in a_set:
-                        a_set[ahead] = a_set.pop(ahead)
+                    tag = ahead >> l1i_shift
+                    if tag in a_set:
+                        a_set[tag] = a_set.pop(tag)
                     else:
                         if len(a_set) >= l1i_assoc:
                             del a_set[next(iter(a_set))]
-                        a_set[ahead] = False
+                        a_set[tag] = False
                     a_set = l2_sets[ahead & l2_mask]
-                    if ahead in a_set:
-                        a_set[ahead] = a_set.pop(ahead)
+                    tag = ahead >> l2_shift
+                    if tag in a_set:
+                        a_set[tag] = a_set.pop(tag)
                     else:
                         if len(a_set) >= l2_assoc:
                             del a_set[next(iter(a_set))]
-                        a_set[ahead] = False
+                        a_set[tag] = False
                     a_set = l3_sets[ahead % l3_nsets]
-                    if ahead in a_set:
-                        a_set[ahead] = a_set.pop(ahead)
+                    tag = ahead // l3_nsets
+                    if tag in a_set:
+                        a_set[tag] = a_set.pop(tag)
                     else:
                         if len(a_set) >= l3_assoc:
                             del a_set[next(iter(a_set))]
-                        a_set[ahead] = False
+                        a_set[tag] = False
                 last_fetch_line = fline
                 if not hit:
                     l2_set = l2_sets[fline & l2_mask]
-                    if fline in l2_set:
-                        l2_set[fline] = l2_set.pop(fline)
+                    tag = fline >> l2_shift
+                    if tag in l2_set:
+                        l2_set[tag] = l2_set.pop(tag)
                         l2_hits += 1
                         icache_l2_hits += 1
                     else:
@@ -410,24 +429,27 @@ class CoreModel:
                         if len(l2_set) >= l2_assoc:
                             victim = next(iter(l2_set))
                             vdirty = l2_set.pop(victim)
+                            victim = victim << l2_shift | fline & l2_mask
                             l2_evictions += 1
                             if vdirty:
                                 l2_writebacks += 1
                                 offcore_writeback += 1
                             v_set = l1d_sets[victim & l1d_mask]
-                            if victim in v_set:
-                                del v_set[victim]
+                            vtag = victim >> l1d_shift
+                            if vtag in v_set:
+                                del v_set[vtag]
                                 l1d_invalidations += 1
                             holders = dir_lines_get(victim)
                             if holders is not None and core_id in holders:
                                 del holders[core_id]
                                 if not holders:
                                     del dir_lines[victim]
-                        l2_set[fline] = False
+                        l2_set[tag] = False
                         l3_set = l3_sets[fline % l3_nsets]
-                        if fline in l3_set:
+                        tag = fline // l3_nsets
+                        if tag in l3_set:
                             l3_stat_hits += 1
-                            l3_set[fline] = l3_set.pop(fline)
+                            l3_set[tag] = l3_set.pop(tag)
                             icache_l3_hits += 1
                             l3_hits += 1
                         else:
@@ -437,7 +459,7 @@ class CoreModel:
                                 l3_evictions += 1
                                 if vdirty:
                                     l3_writebacks += 1
-                            l3_set[fline] = False
+                            l3_set[tag] = False
                             l3_misses += 1
                             icache_mem += 1
             if code == 0:  # EV_LOAD
@@ -459,6 +481,7 @@ class CoreModel:
                             l1d_sets, l1d_mask, l1d_assoc,
                             l2_sets, l2_mask, l2_assoc,
                             l3_sets, l3_nsets, l3_assoc,
+                            l1d_shift, l2_shift,
                         )
                 else:
                     if last_dpage >= 0:
@@ -474,6 +497,7 @@ class CoreModel:
                                 l1d_sets, l1d_mask, l1d_assoc,
                                 l2_sets, l2_mask, l2_assoc,
                                 l3_sets, l3_nsets, l3_assoc,
+                                l1d_shift, l2_shift,
                             )
                     elif len(trackers) > _STREAM_TRACKERS:
                         trackers.pop(next(iter(trackers)))
@@ -495,9 +519,10 @@ class CoreModel:
                             del tlb_set[next(iter(tlb_set))]
                         tlb_set[page4k] = None
                 cache_set = l1d_sets[line & l1d_mask]
-                if line in cache_set:
+                tag = line >> l1d_shift
+                if tag in cache_set:
                     l1d_hits += 1
-                    cache_set[line] = cache_set.pop(line)
+                    cache_set[tag] = cache_set.pop(tag)
                     continue
                 l1d_misses += 1
                 if len(cache_set) >= l1d_assoc:
@@ -506,10 +531,12 @@ class CoreModel:
                     l1d_evictions += 1
                     if vdirty:
                         l1d_writebacks += 1
+                        victim = victim << l1d_shift | line & l1d_mask
                         # Dirty L1D victim: absorbed by the L2, or escapes.
                         v_set = l2_sets[victim & l2_mask]
-                        if victim in v_set:
-                            v_set[victim] = True
+                        vtag = victim >> l2_shift
+                        if vtag in v_set:
+                            v_set[vtag] = True
                         else:
                             offcore_writeback += 1
                             holders = dir_lines_get(victim)
@@ -517,13 +544,14 @@ class CoreModel:
                                 del holders[core_id]
                                 if not holders:
                                     del dir_lines[victim]
-                cache_set[line] = False
+                cache_set[tag] = False
                 if line in lfb:
                     load_hit_lfb += 1
                     continue
                 l2_set = l2_sets[line & l2_mask]
-                if line in l2_set:
-                    l2_set[line] = l2_set.pop(line)
+                tag = line >> l2_shift
+                if tag in l2_set:
+                    l2_set[tag] = l2_set.pop(tag)
                     load_hit_l2 += 1
                     l2_hits += 1
                     continue
@@ -532,20 +560,22 @@ class CoreModel:
                 if len(l2_set) >= l2_assoc:
                     victim = next(iter(l2_set))
                     vdirty = l2_set.pop(victim)
+                    victim = victim << l2_shift | line & l2_mask
                     l2_evictions += 1
                     if vdirty:
                         l2_writebacks += 1
                         offcore_writeback += 1
                     v_set = l1d_sets[victim & l1d_mask]
-                    if victim in v_set:
-                        del v_set[victim]
+                    vtag = victim >> l1d_shift
+                    if vtag in v_set:
+                        del v_set[vtag]
                         l1d_invalidations += 1
                     holders = dir_lines_get(victim)
                     if holders is not None and core_id in holders:
                         del holders[core_id]
                         if not holders:
                             del dir_lines[victim]
-                l2_set[line] = False
+                l2_set[tag] = False
                 lfb_append(line)
                 holders = dir_lines_get(line)
                 if holders is None:
@@ -566,9 +596,10 @@ class CoreModel:
                         push_deadline(tick + _MLP_SERVICE_SIBLING)
                         # Cache-to-cache transfers also install in the L3.
                         l3_set = l3_sets[line % l3_nsets]
-                        if line in l3_set:
+                        tag = line // l3_nsets
+                        if tag in l3_set:
                             l3_stat_hits += 1
-                            l3_set[line] = l3_set.pop(line)
+                            l3_set[tag] = l3_set.pop(tag)
                         else:
                             l3_stat_misses += 1
                             if len(l3_set) >= l3_assoc:
@@ -576,13 +607,14 @@ class CoreModel:
                                 l3_evictions += 1
                                 if vdirty:
                                     l3_writebacks += 1
-                            l3_set[line] = False
+                            l3_set[tag] = False
                         continue
                 l3_set = l3_sets[line % l3_nsets]
+                tag = line // l3_nsets
                 push_tick(tick)
-                if line in l3_set:
+                if tag in l3_set:
                     l3_stat_hits += 1
-                    l3_set[line] = l3_set.pop(line)
+                    l3_set[tag] = l3_set.pop(tag)
                     load_hit_l3 += 1
                     l3_hits += 1
                     push_deadline(tick + _MLP_SERVICE_L3)
@@ -593,7 +625,7 @@ class CoreModel:
                         l3_evictions += 1
                         if vdirty:
                             l3_writebacks += 1
-                    l3_set[line] = False
+                    l3_set[tag] = False
                     l3_misses += 1
                     load_llc_miss += 1
                     push_deadline(tick + _MLP_SERVICE_MEM)
@@ -608,6 +640,7 @@ class CoreModel:
                             l1d_sets, l1d_mask, l1d_assoc,
                             l2_sets, l2_mask, l2_assoc,
                             l3_sets, l3_nsets, l3_assoc,
+                            l1d_shift, l2_shift,
                         )
                 else:
                     if last_dpage >= 0:
@@ -623,6 +656,7 @@ class CoreModel:
                                 l1d_sets, l1d_mask, l1d_assoc,
                                 l2_sets, l2_mask, l2_assoc,
                                 l3_sets, l3_nsets, l3_assoc,
+                                l1d_shift, l2_shift,
                             )
                     elif len(trackers) > _STREAM_TRACKERS:
                         trackers.pop(next(iter(trackers)))
@@ -644,10 +678,11 @@ class CoreModel:
                             del tlb_set[next(iter(tlb_set))]
                         tlb_set[page4k] = None
                 cache_set = l1d_sets[line & l1d_mask]
-                if line in cache_set:
+                tag = line >> l1d_shift
+                if tag in cache_set:
                     l1d_hits += 1
-                    del cache_set[line]
-                    cache_set[line] = True
+                    del cache_set[tag]
+                    cache_set[tag] = True
                     holders = dir_lines_get(line)
                     if holders is not None:
                         state = holders.get(core_id)
@@ -670,9 +705,11 @@ class CoreModel:
                     l1d_evictions += 1
                     if vdirty:
                         l1d_writebacks += 1
+                        victim = victim << l1d_shift | line & l1d_mask
                         v_set = l2_sets[victim & l2_mask]
-                        if victim in v_set:
-                            v_set[victim] = True
+                        vtag = victim >> l2_shift
+                        if vtag in v_set:
+                            v_set[vtag] = True
                         else:
                             offcore_writeback += 1
                             holders = dir_lines_get(victim)
@@ -680,14 +717,15 @@ class CoreModel:
                                 del holders[core_id]
                                 if not holders:
                                     del dir_lines[victim]
-                cache_set[line] = True
+                cache_set[tag] = True
                 if line in lfb:
                     load_hit_lfb += 1  # stores merging into in-flight fill
                     continue
                 l2_set = l2_sets[line & l2_mask]
-                if line in l2_set:
-                    del l2_set[line]
-                    l2_set[line] = True
+                tag = line >> l2_shift
+                if tag in l2_set:
+                    del l2_set[tag]
+                    l2_set[tag] = True
                     l2_hits += 1
                     holders = dir_lines_get(line)
                     if holders is not None:
@@ -709,20 +747,22 @@ class CoreModel:
                 if len(l2_set) >= l2_assoc:
                     victim = next(iter(l2_set))
                     vdirty = l2_set.pop(victim)
+                    victim = victim << l2_shift | line & l2_mask
                     l2_evictions += 1
                     if vdirty:
                         l2_writebacks += 1
                         offcore_writeback += 1
                     v_set = l1d_sets[victim & l1d_mask]
-                    if victim in v_set:
-                        del v_set[victim]
+                    vtag = victim >> l1d_shift
+                    if vtag in v_set:
+                        del v_set[vtag]
                         l1d_invalidations += 1
                     holders = dir_lines_get(victim)
                     if holders is not None and core_id in holders:
                         del holders[core_id]
                         if not holders:
                             del dir_lines[victim]
-                l2_set[line] = True
+                l2_set[tag] = True
                 lfb_append(line)
                 holders = dir_lines_get(line)
                 if holders is None:
@@ -740,10 +780,11 @@ class CoreModel:
                         push_tick(tick)
                         push_deadline(tick + _MLP_SERVICE_SIBLING)
                         l3_set = l3_sets[line % l3_nsets]
-                        if line in l3_set:
+                        tag = line // l3_nsets
+                        if tag in l3_set:
                             l3_stat_hits += 1
-                            del l3_set[line]
-                            l3_set[line] = True
+                            del l3_set[tag]
+                            l3_set[tag] = True
                         else:
                             l3_stat_misses += 1
                             if len(l3_set) >= l3_assoc:
@@ -751,14 +792,15 @@ class CoreModel:
                                 l3_evictions += 1
                                 if vdirty:
                                     l3_writebacks += 1
-                            l3_set[line] = True
+                            l3_set[tag] = True
                         continue
                 l3_set = l3_sets[line % l3_nsets]
+                tag = line // l3_nsets
                 push_tick(tick)
-                if line in l3_set:
+                if tag in l3_set:
                     l3_stat_hits += 1
-                    del l3_set[line]
-                    l3_set[line] = True
+                    del l3_set[tag]
+                    l3_set[tag] = True
                     l3_hits += 1
                     push_deadline(tick + _MLP_SERVICE_L3)
                 else:
@@ -768,7 +810,7 @@ class CoreModel:
                         l3_evictions += 1
                         if vdirty:
                             l3_writebacks += 1
-                    l3_set[line] = True
+                    l3_set[tag] = True
                     l3_misses += 1
                     push_deadline(tick + _MLP_SERVICE_MEM)
 

@@ -156,7 +156,8 @@ class Processor:
         self.config = config or ProcessorConfig()
         # A workload's samples reach a few thousand of the L3's 12,288
         # sets, but ~95% of each private cache's, so only the L3 builds
-        # its pre-warmed sets on first touch.
+        # its pre-warmed sets on first touch (a private set looked up
+        # through the first-touch dict cost more than building it early).
         self.l3 = SetAssociativeCache(
             CacheConfig("L3", self.config.l3_size, self.config.l3_associativity),
             first_touch=True,
@@ -242,9 +243,9 @@ class Processor:
     ) -> None:
         """Flush all state, then pre-warm the active cores once with the
         union footprint of ``profiles``: each now-empty cache is filled
-        once from its :meth:`prewarm_spans` list.  The private caches are
-        written in full; the L3 only records its spans, and builds each
-        set when the samples first reach it."""
+        once from its :meth:`prewarm_spans` list.  The private caches
+        copy every set from its template now; the L3 only records its
+        templates, and copies each set when the samples first reach it."""
         self.reset()
         for cache, spans in self.prewarm_spans(profiles, active_cores).items():
             cache.fill(spans)
@@ -279,7 +280,7 @@ class Processor:
 
     def reset(self) -> None:
         """Flush all cores, the L3 (one ``clear`` of its built sets and
-        spans) and the coherence directory."""
+        templates) and the coherence directory."""
         for core in self.cores:
             core.reset()
         self.l3.flush()

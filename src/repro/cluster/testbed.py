@@ -163,6 +163,8 @@ class Cluster:
         published metrics) or the run fails loudly.
 
         Raises:
+            ConfigurationError: If ``measurement`` asks for more active
+                cores than a socket has (before the workload runs).
             StackExecutionError: If an injected fault persists past a
                 task's retry budget (the workload attempt fails, like a
                 Hadoop job exceeding ``mapred.map.max.attempts``).
@@ -171,6 +173,12 @@ class Cluster:
         """
         context = context or RunContext()
         measurement = measurement or MeasurementConfig()
+        socket_cores = len(self.slaves[0].processor.cores)
+        if measurement.active_cores > socket_cores:
+            raise ConfigurationError(
+                f"active_cores={measurement.active_cores} exceeds the "
+                f"{socket_cores} cores of a socket"
+            )
 
         # Record into the ambient flight recorder when one is active
         # (e.g. the service wraps whole jobs); otherwise each
@@ -263,13 +271,8 @@ class Cluster:
                 stable_hash((workload.name, context.seed, slave_index))
             )
             slave_rngs[slave_index] = rng
-            cores = slave.processor.cores
-            if measurement.active_cores > len(cores):
-                raise ConfigurationError(
-                    f"active_cores={measurement.active_cores} exceeds the "
-                    f"{len(cores)} cores of a socket"
-                )
-            core_ids = [core.core_id for core in cores[: measurement.active_cores]]
+            cores = slave.processor.cores[: measurement.active_cores]
+            core_ids = [core.core_id for core in cores]
             slave_plans[slave_index] = plan_workload(
                 profiles,
                 rng,

@@ -181,6 +181,8 @@ class TelemetryAgent:
         # Serialises file writes and the hand-off of the open window.
         self._lock = threading.Lock()
         self._request_sig: tuple | None = None
+        # The request last refused by a busy profiler (logged once).
+        self._busy_request: str | None = None
         # The open sampling window: (profiler, request id, deadline).
         self._window: tuple[Profiler, str, float] | None = None
 
@@ -307,7 +309,14 @@ class TelemetryAgent:
 
     def _open_window(self) -> None:
         """Start sampling for a new request; a cheap ``stat`` signature
-        check skips re-parsing an unchanged request file."""
+        check skips re-parsing a request file already handled.
+
+        A request is handled once its window opens, or once it is
+        skipped for good: it has closed, or joining would leave under
+        0.05 s.  A profiler that cannot start (a manual profiler owns
+        this process) leaves the request unhandled, so the next poll
+        tries again.
+        """
         try:
             stat = profile_request_path(self.root).stat()
         except OSError:
@@ -315,12 +324,18 @@ class TelemetryAgent:
         signature = (stat.st_mtime_ns, stat.st_size)
         if signature == self._request_sig:
             return
-        self._request_sig = signature
         request = current_request(self.root)
         if request is None:
+            self._request_sig = signature
             return
+        request_id = str(request.get("id"))
         deadline = float(request["deadline_s"])
         if deadline - time.time() <= 0.05:
+            self._request_sig = signature
+            _log.info(
+                "profile window %s skipped: under 0.05 s left to join",
+                request_id,
+            )
             return
         try:
             profiler = Profiler(
@@ -329,9 +344,16 @@ class TelemetryAgent:
                 instance=self.instance,
                 role=self.role,
             ).start()
-        except (ProfilerError, TypeError, ValueError):
-            return  # a manual profiler owns this process right now
-        self._window = (profiler, str(request.get("id")), deadline)
+        except (ProfilerError, TypeError, ValueError) as exc:
+            if request_id != self._busy_request:
+                self._busy_request = request_id
+                _log.info(
+                    "profile window %s not joined yet (%s); retrying at the next poll",
+                    request_id, exc,
+                )
+            return
+        self._request_sig = signature
+        self._window = (profiler, request_id, deadline)
 
     def _close_window(self) -> None:
         with self._lock:
@@ -786,12 +808,14 @@ def request_profile(
     Taken under the telemetry lock: if another worker already opened a
     window that is still mostly ahead of us, its request is returned
     unchanged so concurrent ``/profile`` calls share one window instead
-    of fighting over the per-process profiler.
+    of fighting over the per-process profiler.  The window is stamped
+    once the lock is held, so time spent waiting for the lock is not
+    taken out of it.
     """
     seconds = min(MAX_WINDOW_S, max(0.2, float(seconds)))
     interval_ms = min(100.0, max(1.0, float(interval_ms)))
-    now = time.time()
     with _telemetry_lock(root):
+        now = time.time()
         existing = current_request(root, now=now)
         if existing is not None and (
             float(existing["deadline_s"]) - now >= 0.5 * seconds

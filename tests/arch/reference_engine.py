@@ -49,7 +49,7 @@ from repro.arch.trace import (
 from repro.errors import ConfigurationError
 from repro.obs.timeline import current_timeline
 
-__all__ = ["install_spans", "run_sample", "run_workload", "start_workload"]
+__all__ = ["install_spans", "run_sample", "run_workload", "set_lines", "start_workload"]
 
 
 def _translate(tlb: TlbHierarchy, addr: int) -> tuple[bool, bool]:
@@ -285,6 +285,20 @@ def install_spans(cache: SetAssociativeCache, spans) -> None:
     for first_line, count in spans:
         for line in range(first_line + count - 1, first_line - 1, -1):
             cache.install_line(line)
+
+
+def set_lines(cache: SetAssociativeCache) -> list[list[tuple[int, bool]]]:
+    """Every set's ``(line, dirty)`` pairs in LRU order, in index order.
+
+    A set keys each line by its tag; set ``index`` holds line ``tag *
+    num_sets + index``.  Ordered lists, because ``==`` on two dicts
+    ignores their LRU order.
+    """
+    num_sets = cache.config.num_sets
+    return [
+        [(tag * num_sets + index, dirty) for tag, dirty in cache._sets[index].items()]
+        for index in range(num_sets)
+    ]
 
 
 def start_workload(

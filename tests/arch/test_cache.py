@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.arch.cache import CacheAccess, CacheConfig, SetAssociativeCache
 from repro.errors import ConfigurationError
-from tests.arch.reference_engine import install_spans
+from tests.arch.reference_engine import install_spans, set_lines
 
 
 def small_cache(
@@ -188,16 +188,8 @@ class TestPackedProtocol:
         line_cache = small_cache(assoc=2, sets=4)
         fill_cache.fill([(3, 20)])
         install_spans(line_cache, [(3, 20)])
-        # Ordered lists: ``==`` on two sets ignores their LRU order.
-        assert set_states(fill_cache) == set_states(line_cache)
+        assert set_lines(fill_cache) == set_lines(line_cache)
         assert fill_cache.stats.accesses == 0
-
-
-def set_states(cache: SetAssociativeCache) -> list:
-    """Every set's (line, dirty) pairs in LRU order, in index order."""
-    return [
-        list(cache._sets[index].items()) for index in range(cache.config.num_sets)
-    ]
 
 
 def _lay_out(gaps_and_counts) -> list[tuple[int, int]]:
@@ -240,7 +232,7 @@ def test_fill_matches_per_line_installs(geometry, spans, first_touch):
     line_cache = small_cache(assoc=assoc, sets=sets)
     fill_cache.fill(spans)
     install_spans(line_cache, spans)
-    assert set_states(fill_cache) == set_states(line_cache)
+    assert set_lines(fill_cache) == set_lines(line_cache)
 
 
 @pytest.mark.parametrize("first_touch", [False, True])
@@ -261,12 +253,14 @@ def test_fill_refuses_a_used_cache_and_overlapping_spans(first_touch):
         cache.fill([(0, 4)])  # the recorded or written spans count as used
 
 
-def test_eager_fill_refuses_more_than_255_ways():
-    with pytest.raises(ConfigurationError, match="255"):
-        small_cache(assoc=256, sets=1).fill([(0, 4)])
-    wide = small_cache(assoc=256, sets=1, first_touch=True)
-    wide.fill([(0, 4)])
-    assert wide.resident_lines == 4
+@pytest.mark.parametrize("first_touch", [False, True])
+def test_fill_handles_more_than_255_ways(first_touch):
+    wide = small_cache(assoc=256, sets=2, first_touch=first_touch)
+    wide.fill([(0, 600)])
+    line_cache = small_cache(assoc=256, sets=2)
+    install_spans(line_cache, [(0, 600)])
+    assert set_lines(wide) == set_lines(line_cache)
+    assert wide.resident_lines == 512
 
 
 @settings(max_examples=50, deadline=None)

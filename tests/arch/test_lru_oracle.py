@@ -6,8 +6,9 @@ the plain reading of the same replacement policy over
 ``collections.OrderedDict`` (``move_to_end`` on a hit, ``popitem(last=
 False)`` for the victim), kept here so the semantics are pinned
 independently of the shipped set type.  Random operation lists run
-through both, and every set's ordered items, the statistics and every
-return value must agree after each operation.
+through both, and every set's lines in LRU order (a cache set keys each
+line by its tag, mapped back by ``set_lines``), the statistics and
+every return value must agree after each operation.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.arch.cache import CacheAccess, CacheConfig, CacheStats, SetAssociativeCache
 from repro.arch.tlb import Tlb, TlbConfig
+from tests.arch.reference_engine import set_lines
 from tests.arch.test_cache import disjoint_spans
 
 
@@ -201,9 +203,7 @@ def test_cache_matches_ordered_dict_model(case, write_back, first_touch):
                 model_set = model._set(line)
                 assert cache.line_resident(line) == (line in model_set)
                 assert cache.is_dirty(line) == model_set.get(line, False)
-        assert ordered_items(
-            cache._sets[index] for index in range(num_sets)
-        ) == ordered_items(model.sets)
+        assert set_lines(cache) == ordered_items(model.sets)
         assert cache.stats == model.stats
     assert cache.resident_lines == sum(map(len, model.sets))
 

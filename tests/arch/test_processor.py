@@ -126,13 +126,7 @@ def cache_states(processor: Processor, active_cores: int) -> list:
         for core in processor.cores[:active_cores]
         for cache in (core.l1i, core.l1d, core.l2)
     ]
-    return [
-        [
-            list(cache._sets[index].items())
-            for index in range(cache.config.num_sets)
-        ]
-        for cache in caches
-    ]
+    return [reference_engine.set_lines(cache) for cache in caches]
 
 
 @pytest.mark.parametrize("active_cores", [1, 4, 6])
@@ -173,6 +167,38 @@ def test_l3_builds_only_the_sets_a_sample_reaches():
     assert len(processor.l3._sets) == 0
     run(processor, phases, 10, active_cores=4, ops_per_core=500)
     assert 0 < len(processor.l3._sets) < processor.l3.config.num_sets == 12_288
+
+
+def test_kernel_and_generic_api_agree_on_the_l3():
+    """The fused kernel and the generic cache API key the L3's sets the
+    same way.  The kernel runs a workload on a pre-warmed L3; the per-op
+    oracle runs it through the generic API alone.  On the kernel's L3,
+    ``line_resident``, ``is_dirty`` and ``access`` must then see the
+    lines, dirty bits and LRU victims the oracle's L3 holds."""
+    phases = [profile(data_working_set=4 << 20, shared_fraction=0.3,
+                      shared_working_set=2 << 20)]
+    fused, oracle = Processor(), Processor()
+    run(fused, phases, 11, active_cores=4, ops_per_core=1000)
+    reference_engine.run_workload(
+        oracle, phases, np.random.default_rng(11), active_cores=4,
+        ops_per_core=1000,
+    )
+    l3, expected = fused.l3, reference_engine.set_lines(oracle.l3)
+    num_sets = l3.config.num_sets
+    reached = sorted(l3._sets)  # the sets the kernel built and ran on
+    lines = [pair for index in reached for pair in expected[index]]
+    assert any(dirty for _, dirty in lines)
+    for line, dirty in lines:
+        assert l3.line_resident(line)
+        assert l3.is_dirty(line) == dirty
+    for index in reached:
+        newcomer = index + (1 << 30) * num_sets  # a tag no set holds
+        assert not l3.line_resident(newcomer)
+        for line in (expected[index][0][0], newcomer):
+            assert l3.access(line << 6, is_write=True) == oracle.l3.access(
+                line << 6, is_write=True
+            )
+    assert reference_engine.set_lines(l3) == reference_engine.set_lines(oracle.l3)
 
 
 def test_events_from_sample_scaling():

@@ -8,12 +8,14 @@ race harness from ``test_fleet.py`` — two-process concurrent spills
 merging to exact totals plus exactly-once GC of stale captures.
 """
 
+import contextlib
 import multiprocessing
 import os
 import signal as signal_module
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 
@@ -396,6 +398,80 @@ def test_poke_joins_a_window_without_waiting_for_the_poll(
         assert agent._window[1] == request["id"]
     finally:
         agent.close()
+
+
+def test_a_slow_lock_does_not_shorten_the_window(tmp_path, monkeypatch):
+    """The window is stamped once the telemetry lock is held, so the
+    0.2 s spent getting it is not taken out of the window."""
+    real_lock = fleet._telemetry_lock
+
+    @contextlib.contextmanager
+    def slow_lock(root):
+        with real_lock(root):
+            time.sleep(0.2)
+            yield
+
+    monkeypatch.setattr(fleet, "_telemetry_lock", slow_lock)
+    request = request_profile(tmp_path, seconds=1.0)
+    now = time.time()
+    assert request["deadline_s"] - now == pytest.approx(1.0, abs=0.1)
+    assert request["issued_s"] == pytest.approx(now, abs=0.1)
+
+
+class _LogRecorder:
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+
+    def info(self, message: str, *args) -> None:
+        self.lines.append(message % args)
+
+
+def test_a_busy_profiler_is_retried_at_the_next_poll(tmp_path, monkeypatch):
+    """A window the profiler cannot join yet stays pending: the first
+    poll finds a manual profiler sampling this process, the second,
+    after it stops, opens the window.  The refusal is logged once."""
+    log = _LogRecorder()
+    monkeypatch.setattr(fleet, "_log", log)
+    agent = TelemetryAgent(
+        tmp_path, instance="busy", role="test", registry=MetricsRegistry()
+    )
+    request = request_profile(tmp_path, seconds=5.0, interval_ms=2.0)
+    manual = Profiler(clock="thread", interval_ms=2.0).start()
+    try:
+        agent._open_window()
+        agent._open_window()
+    finally:
+        manual.stop()
+    assert agent._window is None
+    assert len(log.lines) == 1 and request["id"] in log.lines[0]
+    agent._open_window()
+    try:
+        assert agent._window is not None
+        assert agent._window[1] == request["id"]
+    finally:
+        agent.close()
+    assert len(log.lines) == 1
+
+
+def test_a_window_with_no_time_left_is_skipped_once(tmp_path, monkeypatch):
+    """A request joined with under 0.05 s left is skipped for good, and
+    the skip is logged once (the agent's clock is frozen at the join)."""
+    log = _LogRecorder()
+    monkeypatch.setattr(fleet, "_log", log)
+    agent = TelemetryAgent(
+        tmp_path, instance="late", role="test", registry=MetricsRegistry()
+    )
+    now = time.time()
+    monkeypatch.setattr(fleet, "time", SimpleNamespace(time=lambda: now))
+    write_json(
+        profile_request_path(tmp_path),
+        {"kind": "profile-request", "id": "late1", "deadline_s": now + 0.04},
+    )
+    agent._open_window()
+    agent._open_window()
+    assert agent._window is None
+    assert len(log.lines) == 1
+    assert "late1" in log.lines[0] and "0.05 s" in log.lines[0]
 
 
 def _open_window(agent: TelemetryAgent, root, seconds: float) -> dict:

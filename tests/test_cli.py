@@ -1,13 +1,16 @@
 """CLI smoke tests: exit codes and key output lines for every subcommand
 that runs in seconds, plus the friendly unknown-workload path."""
 
+import dataclasses
 import json
 import logging
 
 import pytest
 
+from repro import cli
 from repro.cli import EXIT_USAGE, main
 from repro.obs.trace import Tracer, validate_trace
+from repro.workloads import workload_by_name
 from tests.analysis.test_dashboard import _audit
 
 
@@ -66,9 +69,19 @@ class TestCharacterize:
         ],
         ids=["cores-7", "cores-0", "ops-0", "slaves-5"],
     )
-    def test_bad_measurement_exits_2_with_one_line(self, capsys, flags, message):
+    def test_bad_measurement_exits_2_with_one_line(
+        self, capsys, monkeypatch, flags, message
+    ):
+        """Rejected before the workload runs: its runner is never called."""
+        runs = []
+        real = workload_by_name("H-Sort")
+        spied = dataclasses.replace(
+            real, runner=lambda context: runs.append(context) or real.runner(context)
+        )
+        monkeypatch.setattr(cli, "workload_by_name", lambda label: spied)
         code = main(["characterize", "H-Sort", "--scale", "0.1", *flags])
         assert code == EXIT_USAGE
+        assert runs == []
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
         assert captured.err.startswith("repro: ")
