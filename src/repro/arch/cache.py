@@ -38,26 +38,22 @@ class CacheConfig:
         name: Human-readable level name (e.g. ``"L1D"``).
         size: Total capacity in bytes.
         associativity: Number of ways per set.
-        line_size: Cache line size in bytes.
-        write_back: Whether dirty lines are written back on eviction
-            (all caches in the modelled Westmere hierarchy are write-back).
+
+    Every level has 64-byte lines (:data:`LINE_SHIFT`) and is write-back,
+    as throughout the modelled Westmere hierarchy.
     """
 
     name: str
     size: int
     associativity: int
-    line_size: int = 1 << LINE_SHIFT
-    write_back: bool = True
 
     def __post_init__(self) -> None:
-        if self.size <= 0 or self.associativity <= 0 or self.line_size <= 0:
+        if self.size <= 0 or self.associativity <= 0:
             raise ConfigurationError(f"{self.name}: all cache dimensions must be positive")
-        if not _is_power_of_two(self.line_size):
-            raise ConfigurationError(f"{self.name}: line size must be a power of two")
-        if self.size % (self.associativity * self.line_size) != 0:
+        if self.size % (self.associativity << LINE_SHIFT) != 0:
             raise ConfigurationError(
                 f"{self.name}: size {self.size} is not divisible by "
-                f"associativity*line_size = {self.associativity * self.line_size}"
+                f"associativity*line size = {self.associativity << LINE_SHIFT}"
             )
         # Note: the set count need not be a power of two — the modelled
         # Westmere L3 (12 MB, 16-way) has 12288 sets across three slices.
@@ -65,7 +61,7 @@ class CacheConfig:
     @property
     def num_sets(self) -> int:
         """Number of sets in the tag array."""
-        return self.size // (self.associativity * self.line_size)
+        return self.size // (self.associativity << LINE_SHIFT)
 
 
 class CacheAccess(NamedTuple):
@@ -195,9 +191,7 @@ class SetAssociativeCache:
         "stats",
         "_num_sets",
         "_set_mask",
-        "_line_shift",
         "_assoc",
-        "_write_back",
         "_sets",
     )
 
@@ -211,9 +205,7 @@ class SetAssociativeCache:
         self._set_mask = (
             self._num_sets - 1 if _is_power_of_two(self._num_sets) else 0
         )
-        self._line_shift = config.line_size.bit_length() - 1
         self._assoc = config.associativity
-        self._write_back = config.write_back
         self._sets: list[dict[int, bool]] | _FirstTouchSets = (
             _FirstTouchSets(self._num_sets, self._assoc)
             if first_touch
@@ -222,7 +214,7 @@ class SetAssociativeCache:
 
     def line_address(self, addr: int) -> int:
         """Return the line-aligned address containing byte ``addr``."""
-        return addr >> self._line_shift
+        return addr >> LINE_SHIFT
 
     def _locate(self, line_addr: int) -> tuple[dict[int, bool], int]:
         """The set that holds ``line_addr``, and the line's tag there."""
@@ -235,7 +227,7 @@ class SetAssociativeCache:
         Returns:
             A :class:`CacheAccess` describing hit/miss and any eviction.
         """
-        line = addr >> self._line_shift
+        line = addr >> LINE_SHIFT
         cache_set, tag = self._locate(line)
         stats = self.stats
         if tag in cache_set:
@@ -251,7 +243,7 @@ class SetAssociativeCache:
             evicted_dirty = cache_set.pop(victim)
             evicted_line = line + (victim - tag) * self._num_sets
             stats.evictions += 1
-            if evicted_dirty and self._write_back:
+            if evicted_dirty:
                 stats.writebacks += 1
                 writeback = True
         cache_set[tag] = is_write
@@ -373,5 +365,5 @@ class SetAssociativeCache:
         cfg = self.config
         return (
             f"SetAssociativeCache({cfg.name}, {cfg.size >> 10}KB, "
-            f"{cfg.associativity}-way, {cfg.line_size}B lines)"
+            f"{cfg.associativity}-way)"
         )

@@ -11,15 +11,16 @@ rather than dialled in.
 :meth:`CoreModel.run_compact` is the hottest code in the repository
 (millions of simulated operations per workload), so it inlines the
 caches', TLBs' and directory's hot paths over their internal sets and
-keeps every counter in a local.  Every set is a plain ``dict`` whose
-insertion order is the LRU order: a hit re-inserts its key
-(``s[k] = s.pop(k)``, or ``del s[k]`` then a store that dirties it) and
-the victim is the first key, ``next(iter(s))``.  A TLB set is keyed by
-page; a cache set by the line's tag, ``line >> shift`` in a private
-cache and ``line // num_sets`` in the L3.  Where the kernel needs a
-private victim's line back (to back-invalidate the L1D, to write back
-into the L2, for the directory) it rebuilds it as ``tag << shift |
-index``; of an L3 victim it only reads the dirty bit.
+keeps every counter in a local; loads and stores go through one data
+arm.  Every set is a plain ``dict`` whose insertion order is the LRU
+order: a hit re-inserts its key (``s[k] = s.pop(k)``, ``or store`` in
+the data arm, whose stores dirty the line) and the victim is the first
+key, ``next(iter(s))``.  A TLB set is keyed by page; a cache set by
+the line's tag, ``line >> shift`` in a private cache and ``line //
+num_sets`` in the L3.  Where the kernel needs a private victim's line
+back (to back-invalidate the L1D, to write back into the L2, for the
+directory) it rebuilds it as ``tag << shift | index``; of an L3 victim
+it only reads the dirty bit.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ __all__ = ["CoreModel", "LINE_SHIFT"]
 _MLP_SERVICE_MEM = 40
 _MLP_SERVICE_L3 = 9
 _MLP_SERVICE_SIBLING = 13
-
-#: Average speculatively executed wrong-path branches per misprediction.
-_WRONG_PATH_BRANCHES = 3
 
 #: Line fill buffer depth (Westmere has 10 fill buffers per core).
 _LFB_DEPTH = 10
@@ -228,15 +226,18 @@ class CoreModel:
         ``CoherenceDirectory`` methods) — the per-op test oracle in
         ``tests/arch/reference_engine.py`` pins the two together.
 
-        The body is one flat fused loop: the per-event fetch, load and
-        store work — including the cache fills, TLB/STLB walks, prefetch
+        The body is one flat fused loop: the per-event fetch and data
+        work — including the cache fills, TLB/STLB walks, prefetch
         installs and the coherence directory's no-other-holder fast paths
         — is inlined with every shared structure and counter held in
         locals, flushed into the returned :class:`SampleCounts` (and the
-        per-level ``.stats``) once.  Three locality fast paths shortcut
-        provably state-free work (see the inline proofs): repeat-page TLB
-        probes on both sides, repeat-line loads, and the lazily
-        written-back stream tracker.
+        per-level ``.stats``) once.  Loads and stores share one data arm:
+        a store installs or re-inserts its line dirty, reads for
+        ownership where a load reads to share, and upgrades a line it
+        hits in Shared; the load-only counters branch on it past an L1D
+        miss.  Every event walks the full hierarchy: skipping the probes
+        of a repeated page or line was measured to buy nothing (ROADMAP
+        item 4), so the elided same-line fetches are the one shortcut.
 
         Args:
             sample: The compacted sample to simulate.
@@ -291,7 +292,6 @@ class CoreModel:
         r_none = SnoopResponse.NONE
         r_hit = SnoopResponse.HIT
         r_hite = SnoopResponse.HITE
-        r_hitm = SnoopResponse.HITM
         m_shared = MesiState.SHARED
         m_exclusive = MesiState.EXCLUSIVE
         m_modified = MesiState.MODIFIED
@@ -326,55 +326,28 @@ class CoreModel:
         # state-preserving.
         elided = sample.elided
 
-        # Locality fast paths, each exact by construction:
-        #
-        # * Only fetches touch the ITLB-L1 and only loads/stores touch
-        #   the DTLB-L1, so after any access to page P that page is MRU
-        #   in its L1 and a repeat access is a guaranteed hit whose
-        #   re-insertion at the end leaves the LRU order unchanged — one
-        #   compare replaces two dict probes (elided fetches are
-        #   same-line, hence same-page, preserving the invariant).
-        # * After any data access to line L, L is MRU in the L1D, so a
-        #   load immediately repeating the line is a pure counter bump.
-        #   (Stores never take it: the dirty bit and directory state
-        #   still matter.)
-        # * The stream tracker's entry for the *current* page lives in
-        #   ``last_mline`` and is written back to the dict only when the
-        #   page changes (or at sample end).  Plain-dict value updates
-        #   never reorder keys, so the dict's key order — which drives
-        #   the FIFO tracker eviction — matches an eagerly written dict
-        #   at every step, and no other code reads the trackers
-        #   mid-sample.
-        last_ipage = -1
-        last_dpage = -1
-        last_mline = -1
-
         for code, tick, line, page4k, fline, fpage in zip(
             codes, ticks, mem_lines, mem_pages, fetch_lines, fetch_pages
         ):
             if code >= 4:  # EV_FETCH
                 code -= 4
-                if fpage == last_ipage:
+                tlb_set = itlb_sets[fpage & itlb_mask]
+                if fpage in tlb_set:
+                    tlb_set[fpage] = tlb_set.pop(fpage)
                     itlb_l1_hits += 1
                 else:
-                    tlb_set = itlb_sets[fpage & itlb_mask]
-                    if fpage in tlb_set:
-                        tlb_set[fpage] = tlb_set.pop(fpage)
-                        itlb_l1_hits += 1
+                    stlb_set = stlb_sets[fpage & stlb_mask]
+                    if fpage in stlb_set:
+                        stlb_set[fpage] = stlb_set.pop(fpage)
+                        itlb_stlb_hits += 1
                     else:
-                        stlb_set = stlb_sets[fpage & stlb_mask]
-                        if fpage in stlb_set:
-                            stlb_set[fpage] = stlb_set.pop(fpage)
-                            itlb_stlb_hits += 1
-                        else:
-                            itlb_walks += 1
-                            if len(stlb_set) >= stlb_assoc:
-                                del stlb_set[next(iter(stlb_set))]
-                            stlb_set[fpage] = None
-                        if len(tlb_set) >= itlb_assoc:
-                            del tlb_set[next(iter(tlb_set))]
-                        tlb_set[fpage] = None
-                    last_ipage = fpage
+                        itlb_walks += 1
+                        if len(stlb_set) >= stlb_assoc:
+                            del stlb_set[next(iter(stlb_set))]
+                        stlb_set[fpage] = None
+                    if len(tlb_set) >= itlb_assoc:
+                        del tlb_set[next(iter(tlb_set))]
+                    tlb_set[fpage] = None
                 cache_set = l1i_sets[fline & l1i_mask]
                 tag = fline >> l1i_shift
                 if tag in cache_set:
@@ -462,68 +435,50 @@ class CoreModel:
                             l3_set[tag] = False
                             l3_misses += 1
                             icache_mem += 1
-            if code == 0:  # EV_LOAD
-                if line == last_mline:
-                    # Repeat of the previous data line: guaranteed L1D
-                    # hit (already MRU, so re-inserting it changes
-                    # nothing), same page, tracker value unchanged, no
-                    # prefetch trigger.
-                    l1d_hits += 1
-                    dtlb_l1_hits += 1
-                    continue
-                if page4k == last_dpage:
-                    last = last_mline
-                    last_mline = line
-                    dtlb_l1_hits += 1
-                    if line == last + 1:
-                        offcore_data += prefetch_pair(
-                            line,
-                            l1d_sets, l1d_mask, l1d_assoc,
-                            l2_sets, l2_mask, l2_assoc,
-                            l3_sets, l3_nsets, l3_assoc,
-                            l1d_shift, l2_shift,
-                        )
+            if code == 2:  # EV_NONE: the event is a fetch alone
+                continue
+            # EV_LOAD or EV_STORE.  A store writes the line: it installs
+            # or re-inserts it dirty wherever it lands, and it reads for
+            # ownership (RFO) where a load reads to share.
+            store = code == 1
+            # Stream prefetcher: a step to the next line of a tracked page
+            # installs the two lines after it.
+            last = trackers_get(page4k)
+            trackers[page4k] = line
+            if last is None:
+                if len(trackers) > _STREAM_TRACKERS:
+                    trackers.pop(next(iter(trackers)))
+            elif line == last + 1:
+                offcore_data += prefetch_pair(
+                    line,
+                    l1d_sets, l1d_mask, l1d_assoc,
+                    l2_sets, l2_mask, l2_assoc,
+                    l3_sets, l3_nsets, l3_assoc,
+                    l1d_shift, l2_shift,
+                )
+            tlb_set = dtlb_sets[page4k & dtlb_mask]
+            if page4k in tlb_set:
+                tlb_set[page4k] = tlb_set.pop(page4k)
+                dtlb_l1_hits += 1
+            else:
+                stlb_set = stlb_sets[page4k & stlb_mask]
+                if page4k in stlb_set:
+                    stlb_set[page4k] = stlb_set.pop(page4k)
+                    dtlb_stlb_hits += 1
                 else:
-                    if last_dpage >= 0:
-                        trackers[last_dpage] = last_mline
-                    last = trackers_get(page4k)
-                    trackers[page4k] = line
-                    last_dpage = page4k
-                    last_mline = line
-                    if last is not None:
-                        if line == last + 1:
-                            offcore_data += prefetch_pair(
-                                line,
-                                l1d_sets, l1d_mask, l1d_assoc,
-                                l2_sets, l2_mask, l2_assoc,
-                                l3_sets, l3_nsets, l3_assoc,
-                                l1d_shift, l2_shift,
-                            )
-                    elif len(trackers) > _STREAM_TRACKERS:
-                        trackers.pop(next(iter(trackers)))
-                    tlb_set = dtlb_sets[page4k & dtlb_mask]
-                    if page4k in tlb_set:
-                        tlb_set[page4k] = tlb_set.pop(page4k)
-                        dtlb_l1_hits += 1
-                    else:
-                        stlb_set = stlb_sets[page4k & stlb_mask]
-                        if page4k in stlb_set:
-                            stlb_set[page4k] = stlb_set.pop(page4k)
-                            dtlb_stlb_hits += 1
-                        else:
-                            dtlb_walks += 1
-                            if len(stlb_set) >= stlb_assoc:
-                                del stlb_set[next(iter(stlb_set))]
-                            stlb_set[page4k] = None
-                        if len(tlb_set) >= dtlb_assoc:
-                            del tlb_set[next(iter(tlb_set))]
-                        tlb_set[page4k] = None
-                cache_set = l1d_sets[line & l1d_mask]
-                tag = line >> l1d_shift
-                if tag in cache_set:
-                    l1d_hits += 1
-                    cache_set[tag] = cache_set.pop(tag)
-                    continue
+                    dtlb_walks += 1
+                    if len(stlb_set) >= stlb_assoc:
+                        del stlb_set[next(iter(stlb_set))]
+                    stlb_set[page4k] = None
+                if len(tlb_set) >= dtlb_assoc:
+                    del tlb_set[next(iter(tlb_set))]
+                tlb_set[page4k] = None
+            cache_set = l1d_sets[line & l1d_mask]
+            tag = line >> l1d_shift
+            if tag in cache_set:
+                l1d_hits += 1
+                cache_set[tag] = cache_set.pop(tag) or store
+            else:
                 l1d_misses += 1
                 if len(cache_set) >= l1d_assoc:
                     victim = next(iter(cache_set))
@@ -544,279 +499,115 @@ class CoreModel:
                                 del holders[core_id]
                                 if not holders:
                                     del dir_lines[victim]
-                cache_set[tag] = False
+                cache_set[tag] = store
                 if line in lfb:
+                    # Merges into an in-flight fill (a store's too).
                     load_hit_lfb += 1
                     continue
                 l2_set = l2_sets[line & l2_mask]
                 tag = line >> l2_shift
                 if tag in l2_set:
-                    l2_set[tag] = l2_set.pop(tag)
-                    load_hit_l2 += 1
+                    l2_set[tag] = l2_set.pop(tag) or store
                     l2_hits += 1
-                    continue
-                l2_misses += 1
-                offcore_data += 1
-                if len(l2_set) >= l2_assoc:
-                    victim = next(iter(l2_set))
-                    vdirty = l2_set.pop(victim)
-                    victim = victim << l2_shift | line & l2_mask
-                    l2_evictions += 1
-                    if vdirty:
-                        l2_writebacks += 1
-                        offcore_writeback += 1
-                    v_set = l1d_sets[victim & l1d_mask]
-                    vtag = victim >> l1d_shift
-                    if vtag in v_set:
-                        del v_set[vtag]
-                        l1d_invalidations += 1
-                    holders = dir_lines_get(victim)
-                    if holders is not None and core_id in holders:
-                        del holders[core_id]
-                        if not holders:
-                            del dir_lines[victim]
-                l2_set[tag] = False
-                lfb_append(line)
-                holders = dir_lines_get(line)
-                if holders is None:
-                    # Directory fast path: no holders, response NONE, the
-                    # requester installs in Exclusive.
-                    dir_lines[line] = {core_id: m_exclusive}
-                else:
-                    response = dir_read_miss(core_id, line)
-                    if response is not r_none:
-                        if response is r_hit:
-                            snoop_hit += 1
-                        elif response is r_hite:
-                            snoop_hite += 1
-                        elif response is r_hitm:
-                            snoop_hitm += 1
-                        load_hit_sibling += 1
-                        push_tick(tick)
-                        push_deadline(tick + _MLP_SERVICE_SIBLING)
-                        # Cache-to-cache transfers also install in the L3.
-                        l3_set = l3_sets[line % l3_nsets]
-                        tag = line // l3_nsets
-                        if tag in l3_set:
-                            l3_stat_hits += 1
-                            l3_set[tag] = l3_set.pop(tag)
-                        else:
-                            l3_stat_misses += 1
-                            if len(l3_set) >= l3_assoc:
-                                vdirty = l3_set.pop(next(iter(l3_set)))
-                                l3_evictions += 1
-                                if vdirty:
-                                    l3_writebacks += 1
-                            l3_set[tag] = False
+                    if not store:
+                        load_hit_l2 += 1
                         continue
-                l3_set = l3_sets[line % l3_nsets]
-                tag = line // l3_nsets
-                push_tick(tick)
-                if tag in l3_set:
-                    l3_stat_hits += 1
-                    l3_set[tag] = l3_set.pop(tag)
-                    load_hit_l3 += 1
-                    l3_hits += 1
-                    push_deadline(tick + _MLP_SERVICE_L3)
                 else:
-                    l3_stat_misses += 1
-                    if len(l3_set) >= l3_assoc:
-                        vdirty = l3_set.pop(next(iter(l3_set)))
-                        l3_evictions += 1
-                        if vdirty:
-                            l3_writebacks += 1
-                    l3_set[tag] = False
-                    l3_misses += 1
-                    load_llc_miss += 1
-                    push_deadline(tick + _MLP_SERVICE_MEM)
-            elif code == 1:  # EV_STORE
-                if page4k == last_dpage:
-                    last = last_mline
-                    last_mline = line
-                    dtlb_l1_hits += 1
-                    if line == last + 1:
-                        offcore_data += prefetch_pair(
-                            line,
-                            l1d_sets, l1d_mask, l1d_assoc,
-                            l2_sets, l2_mask, l2_assoc,
-                            l3_sets, l3_nsets, l3_assoc,
-                            l1d_shift, l2_shift,
-                        )
-                else:
-                    if last_dpage >= 0:
-                        trackers[last_dpage] = last_mline
-                    last = trackers_get(page4k)
-                    trackers[page4k] = line
-                    last_dpage = page4k
-                    last_mline = line
-                    if last is not None:
-                        if line == last + 1:
-                            offcore_data += prefetch_pair(
-                                line,
-                                l1d_sets, l1d_mask, l1d_assoc,
-                                l2_sets, l2_mask, l2_assoc,
-                                l3_sets, l3_nsets, l3_assoc,
-                                l1d_shift, l2_shift,
-                            )
-                    elif len(trackers) > _STREAM_TRACKERS:
-                        trackers.pop(next(iter(trackers)))
-                    tlb_set = dtlb_sets[page4k & dtlb_mask]
-                    if page4k in tlb_set:
-                        tlb_set[page4k] = tlb_set.pop(page4k)
-                        dtlb_l1_hits += 1
+                    l2_misses += 1
+                    if store:
+                        offcore_rfo += 1
                     else:
-                        stlb_set = stlb_sets[page4k & stlb_mask]
-                        if page4k in stlb_set:
-                            stlb_set[page4k] = stlb_set.pop(page4k)
-                            dtlb_stlb_hits += 1
-                        else:
-                            dtlb_walks += 1
-                            if len(stlb_set) >= stlb_assoc:
-                                del stlb_set[next(iter(stlb_set))]
-                            stlb_set[page4k] = None
-                        if len(tlb_set) >= dtlb_assoc:
-                            del tlb_set[next(iter(tlb_set))]
-                        tlb_set[page4k] = None
-                cache_set = l1d_sets[line & l1d_mask]
-                tag = line >> l1d_shift
-                if tag in cache_set:
-                    l1d_hits += 1
-                    del cache_set[tag]
-                    cache_set[tag] = True
-                    holders = dir_lines_get(line)
-                    if holders is not None:
-                        state = holders.get(core_id)
-                        if state is m_shared:
-                            response = dir_upgrade(core_id, line)
-                            if response is r_hit:
-                                snoop_hit += 1
-                            elif response is r_hite:
-                                snoop_hite += 1
-                            elif response is r_hitm:
-                                snoop_hitm += 1
-                            offcore_rfo += 1
-                        elif state is m_exclusive:
-                            holders[core_id] = m_modified  # silent E -> M
-                    continue
-                l1d_misses += 1
-                if len(cache_set) >= l1d_assoc:
-                    victim = next(iter(cache_set))
-                    vdirty = cache_set.pop(victim)
-                    l1d_evictions += 1
-                    if vdirty:
-                        l1d_writebacks += 1
-                        victim = victim << l1d_shift | line & l1d_mask
-                        v_set = l2_sets[victim & l2_mask]
-                        vtag = victim >> l2_shift
-                        if vtag in v_set:
-                            v_set[vtag] = True
-                        else:
+                        offcore_data += 1
+                    if len(l2_set) >= l2_assoc:
+                        victim = next(iter(l2_set))
+                        vdirty = l2_set.pop(victim)
+                        victim = victim << l2_shift | line & l2_mask
+                        l2_evictions += 1
+                        if vdirty:
+                            l2_writebacks += 1
                             offcore_writeback += 1
-                            holders = dir_lines_get(victim)
-                            if holders is not None and core_id in holders:
-                                del holders[core_id]
-                                if not holders:
-                                    del dir_lines[victim]
-                cache_set[tag] = True
-                if line in lfb:
-                    load_hit_lfb += 1  # stores merging into in-flight fill
-                    continue
-                l2_set = l2_sets[line & l2_mask]
-                tag = line >> l2_shift
-                if tag in l2_set:
-                    del l2_set[tag]
-                    l2_set[tag] = True
-                    l2_hits += 1
+                        v_set = l1d_sets[victim & l1d_mask]
+                        vtag = victim >> l1d_shift
+                        if vtag in v_set:
+                            del v_set[vtag]
+                            l1d_invalidations += 1
+                        holders = dir_lines_get(victim)
+                        if holders is not None and core_id in holders:
+                            del holders[core_id]
+                            if not holders:
+                                del dir_lines[victim]
+                    l2_set[tag] = store
+                    lfb_append(line)
                     holders = dir_lines_get(line)
-                    if holders is not None:
-                        state = holders.get(core_id)
-                        if state is m_shared:
-                            response = dir_upgrade(core_id, line)
-                            if response is r_hit:
-                                snoop_hit += 1
-                            elif response is r_hite:
-                                snoop_hite += 1
-                            elif response is r_hitm:
-                                snoop_hitm += 1
-                            offcore_rfo += 1
-                        elif state is m_exclusive:
-                            holders[core_id] = m_modified
-                    continue
-                l2_misses += 1
-                offcore_rfo += 1
-                if len(l2_set) >= l2_assoc:
-                    victim = next(iter(l2_set))
-                    vdirty = l2_set.pop(victim)
-                    victim = victim << l2_shift | line & l2_mask
-                    l2_evictions += 1
-                    if vdirty:
-                        l2_writebacks += 1
-                        offcore_writeback += 1
-                    v_set = l1d_sets[victim & l1d_mask]
-                    vtag = victim >> l1d_shift
-                    if vtag in v_set:
-                        del v_set[vtag]
-                        l1d_invalidations += 1
-                    holders = dir_lines_get(victim)
-                    if holders is not None and core_id in holders:
-                        del holders[core_id]
-                        if not holders:
-                            del dir_lines[victim]
-                l2_set[tag] = True
-                lfb_append(line)
-                holders = dir_lines_get(line)
-                if holders is None:
-                    # Directory fast path: RFO with no other holder.
-                    dir_lines[line] = {core_id: m_modified}
-                else:
-                    response = dir_write_miss(core_id, line)
+                    if holders is None:
+                        # Directory fast path: no holders, response NONE;
+                        # the requester installs Modified or Exclusive.
+                        dir_lines[line] = {
+                            core_id: m_modified if store else m_exclusive
+                        }
+                        response = r_none
+                    elif store:
+                        response = dir_write_miss(core_id, line)
+                    else:
+                        response = dir_read_miss(core_id, line)
+                    # Demand fills and cache-to-cache transfers alike
+                    # install in the L3.
+                    l3_set = l3_sets[line % l3_nsets]
+                    tag = line // l3_nsets
+                    if tag in l3_set:
+                        l3_stat_hits += 1
+                        l3_set[tag] = l3_set.pop(tag) or store
+                        hit = True
+                    else:
+                        l3_stat_misses += 1
+                        if len(l3_set) >= l3_assoc:
+                            vdirty = l3_set.pop(next(iter(l3_set)))
+                            l3_evictions += 1
+                            if vdirty:
+                                l3_writebacks += 1
+                        l3_set[tag] = store
+                        hit = False
                     if response is not r_none:
                         if response is r_hit:
                             snoop_hit += 1
                         elif response is r_hite:
                             snoop_hite += 1
-                        elif response is r_hitm:
+                        else:  # HITM
                             snoop_hitm += 1
-                        push_tick(tick)
-                        push_deadline(tick + _MLP_SERVICE_SIBLING)
-                        l3_set = l3_sets[line % l3_nsets]
-                        tag = line // l3_nsets
-                        if tag in l3_set:
-                            l3_stat_hits += 1
-                            del l3_set[tag]
-                            l3_set[tag] = True
-                        else:
-                            l3_stat_misses += 1
-                            if len(l3_set) >= l3_assoc:
-                                vdirty = l3_set.pop(next(iter(l3_set)))
-                                l3_evictions += 1
-                                if vdirty:
-                                    l3_writebacks += 1
-                            l3_set[tag] = True
-                        continue
-                l3_set = l3_sets[line % l3_nsets]
-                tag = line // l3_nsets
-                push_tick(tick)
-                if tag in l3_set:
-                    l3_stat_hits += 1
-                    del l3_set[tag]
-                    l3_set[tag] = True
-                    l3_hits += 1
-                    push_deadline(tick + _MLP_SERVICE_L3)
-                else:
-                    l3_stat_misses += 1
-                    if len(l3_set) >= l3_assoc:
-                        vdirty = l3_set.pop(next(iter(l3_set)))
-                        l3_evictions += 1
-                        if vdirty:
-                            l3_writebacks += 1
-                    l3_set[tag] = True
-                    l3_misses += 1
-                    push_deadline(tick + _MLP_SERVICE_MEM)
+                        if not store:
+                            load_hit_sibling += 1
+                        service = _MLP_SERVICE_SIBLING
+                    elif hit:
+                        l3_hits += 1
+                        if not store:
+                            load_hit_l3 += 1
+                        service = _MLP_SERVICE_L3
+                    else:
+                        l3_misses += 1
+                        if not store:
+                            load_llc_miss += 1
+                        service = _MLP_SERVICE_MEM
+                    push_tick(tick)
+                    push_deadline(tick + service)
+                    continue
+            # A store hit in the L1D or the L2.
+            if store:
+                holders = dir_lines_get(line)
+                if holders is not None:
+                    state = holders.get(core_id)
+                    if state is m_exclusive:
+                        holders[core_id] = m_modified  # silent E -> M
+                    elif state is m_shared:
+                        # Upgrade.  The directory never grants Shared beside
+                        # an Exclusive or Modified copy (``read_miss``
+                        # demotes them, E is granted only to a sole holder,
+                        # and ``write_miss``/``upgrade`` drop every other
+                        # holder), so the others answer HIT or nothing.
+                        if dir_upgrade(core_id, line) is r_hit:
+                            snoop_hit += 1
+                        offcore_rfo += 1
 
         self._last_fetch_line = last_fetch_line
-        if last_dpage >= 0:
-            trackers[last_dpage] = last_mline  # tracker write-back
 
         # The branch stream trains the predictor in one tight pass — its
         # state is independent of the memory hierarchy, so replay order
@@ -915,8 +706,3 @@ class CoreModel:
         self._lfb.clear()
         self._stream_trackers.clear()
         self._last_fetch_line = -2
-
-
-def wrong_path_branches(mispredicts: int) -> int:
-    """Speculative wrong-path branch executions caused by mispredictions."""
-    return mispredicts * _WRONG_PATH_BRANCHES

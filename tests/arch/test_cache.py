@@ -10,10 +10,10 @@ from tests.arch.reference_engine import install_spans, set_lines
 
 
 def small_cache(
-    assoc: int = 2, sets: int = 4, line: int = 64, first_touch: bool = False
+    assoc: int = 2, sets: int = 4, first_touch: bool = False
 ) -> SetAssociativeCache:
     return SetAssociativeCache(
-        CacheConfig("test", size=assoc * sets * line, associativity=assoc, line_size=line),
+        CacheConfig("test", size=assoc * sets * 64, associativity=assoc),
         first_touch=first_touch,
     )
 
@@ -34,12 +34,10 @@ class TestConfig:
             CacheConfig("bad", size=0, associativity=4)
         with pytest.raises(ConfigurationError):
             CacheConfig("bad", size=1024, associativity=0)
-        with pytest.raises(ConfigurationError):
-            CacheConfig("bad", size=1000, associativity=4, line_size=60)
 
     def test_size_must_divide_evenly(self):
         with pytest.raises(ConfigurationError):
-            CacheConfig("bad", size=1000, associativity=3, line_size=64)
+            CacheConfig("bad", size=1000, associativity=3)
 
 
 class TestAccess:
@@ -163,16 +161,6 @@ class TestPackedProtocol:
         assert cache.stats.writebacks == 1
         assert cache.stats.misses == 3
         assert cache.stats.hits == 0
-
-    def test_write_through_config_never_writes_back(self):
-        cache = SetAssociativeCache(
-            CacheConfig("wt", size=128, associativity=1, line_size=64, write_back=False)
-        )
-        cache.access(0, is_write=True)
-        result = cache.access(128)  # same set: evicts the written line 0
-        assert result.evicted_line == 0
-        assert result.writeback is False
-        assert cache.stats.writebacks == 0
 
     def test_install_line_touches_no_demand_stats_even_when_evicting(self):
         cache = small_cache(assoc=1, sets=1)

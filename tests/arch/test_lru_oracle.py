@@ -25,12 +25,12 @@ from tests.arch.test_cache import disjoint_spans
 
 
 class LruCacheModel:
-    """A write-allocate LRU cache over one ``OrderedDict`` per set."""
+    """A write-back, write-allocate LRU cache over one ``OrderedDict``
+    per set."""
 
-    def __init__(self, num_sets: int, assoc: int, write_back: bool) -> None:
+    def __init__(self, num_sets: int, assoc: int) -> None:
         self.sets = [OrderedDict() for _ in range(num_sets)]
         self.assoc = assoc
-        self.write_back = write_back
         self.stats = CacheStats()
 
     def _set(self, line: int) -> OrderedDict:
@@ -49,7 +49,7 @@ class LruCacheModel:
         if len(cache_set) >= self.assoc:
             evicted, dirty = cache_set.popitem(last=False)
             self.stats.evictions += 1
-            if dirty and self.write_back:
+            if dirty:
                 self.stats.writebacks += 1
                 writeback = True
         cache_set[line] = is_write
@@ -157,21 +157,20 @@ def cache_ops(assoc: int):
     case=st.sampled_from([(1, 1), (4, 2), (3, 4), (96, 16)]).flatmap(
         lambda geometry: st.tuples(st.just(geometry), cache_ops(geometry[1]))
     ),
-    write_back=st.booleans(),
     first_touch=st.booleans(),
 )
-def test_cache_matches_ordered_dict_model(case, write_back, first_touch):
-    """Mask- and modulo-indexed geometries (sets x ways), write-back and
-    write-through, eager or first-touch sets, from an empty cache through
+def test_cache_matches_ordered_dict_model(case, first_touch):
+    """Mask- and modulo-indexed geometries (sets x ways), eager or
+    first-touch sets, from an empty cache through
     any mix of demand accesses, prefetch installs, fills (drawn only on an
     empty cache that has not been filled since its last flush: pre-warm's
     precondition), invalidations, write-back landings and flushes."""
     (num_sets, assoc), ops = case
     cache = SetAssociativeCache(
-        CacheConfig("oracle", num_sets * assoc * 64, assoc, write_back=write_back),
+        CacheConfig("oracle", num_sets * assoc * 64, assoc),
         first_touch=first_touch,
     )
-    model = LruCacheModel(num_sets, assoc, write_back)
+    model = LruCacheModel(num_sets, assoc)
     filled = False
     for op, arg in ops:
         if op == "fill":

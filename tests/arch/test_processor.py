@@ -28,12 +28,6 @@ class TestConfig:
         assert config.l3_size == 12 * 1024 * 1024
         assert Processor(config).total_cores == 12
 
-    def test_hyperthreading_must_stay_disabled(self):
-        with pytest.raises(ConfigurationError):
-            ProcessorConfig(hyperthreading=True)
-        with pytest.raises(ConfigurationError):
-            ProcessorConfig(turbo_boost=True)
-
     def test_bad_topology_raises(self):
         with pytest.raises(ConfigurationError):
             ProcessorConfig(sockets=0)

@@ -188,22 +188,24 @@ def test_characterizations_identical_with_fleet_telemetry(monkeypatch):
 @pytest.mark.slow
 def test_profile_window_over_a_live_pool_collection(tmp_path):
     """The fleet profiling gate: a 3 s window opened while a cold
-    four-workload collection runs through a 2-worker pool samples
-    server and pool processes, attributes >= 90% of its busy samples
-    to span paths, and catches the pool at work."""
+    full-suite collection runs through a 2-worker pool samples server
+    and pool processes, attributes >= 90% of its busy samples to span
+    paths, and catches the pool at work."""
     config = ServiceConfig(
         collection=CollectionConfig(
-            # Heavy enough that the collection outlives the window.
+            # Heavy enough that the collection outlives the window: ~6 s
+            # through a bare 2-worker pool on a 2-vCPU host, against the
+            # window's close 3.5 s after the start.
             scale=0.3,
             seed=31,
             measurement=MeasurementConfig(
                 slaves_measured=2,
                 active_cores=3,
-                ops_per_core=4000,
+                ops_per_core=8000,
                 perf_repeats=2,
             ),
         ),
-        workloads=SUITE[:4],
+        workloads=SUITE,
         cache_dir=str(tmp_path / "store"),
         workers=2,
     )
@@ -220,7 +222,9 @@ def test_profile_window_over_a_live_pool_collection(tmp_path):
         doc = ServiceClient(base, timeout=63.0).profile(
             seconds=3.0, interval_ms=5.0
         )
+        outlived_window = collector.is_alive()
         collector.join(timeout=600.0)
+    assert outlived_window  # else the window could not see the pool at work
     assert not collector.is_alive()
     assert len(matrix.get("workloads", [])) == len(config.workloads)
 
