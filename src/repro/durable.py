@@ -1,13 +1,14 @@
 """Durable cross-process state: each file protocol implemented once.
 
 Every file more than one process shares under a store root goes through
-here: blobs and ``index.json``, claims, ``claims/runs.log``, job
-snapshots, metric shards, trace spills, and profile requests and spills.
+here: blobs and ``index.json``, ``claims/runs.log``, job snapshots,
+metric shards, trace spills, and profile requests and spills.  (A
+collection claim is a lock file, not a record: see
+:mod:`repro.service.claims`.)
 
 - **Atomic write.** :func:`atomic_write` renames a finished temp file
   over the target, so readers see the old record or the new one, never
-  half of either; :func:`atomic_create` links it instead, so exactly one
-  racing creator wins.  Temp names start with ``.`` and end in ``.tmp``:
+  half of either.  Temp names start with ``.`` and end in ``.tmp``:
   no reader's ``*.json`` glob matches a leftover one.
 - **Torn read as absent.** :func:`read_json` maps a missing, torn,
   undecodable or non-object file to ``None``.  Journals append with
@@ -28,7 +29,7 @@ first it cost 0.03-0.10 ms.  This fits ext4's ``auto_da_alloc`` rename
 heuristic, which flushes a delayed-allocation file replacing another,
 but that cause is not established.  It applies to every ``atomic_write``
 of a record that already exists: the store index, job snapshots,
-claims, metric shards and trace spills.
+metric shards and trace spills.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from pathlib import Path
 from typing import Callable, ContextManager, Iterable
 
 __all__ = [
-    "atomic_write", "atomic_create", "write_json", "read_json", "state_files",
+    "atomic_write", "write_json", "read_json", "state_files",
     "append_line", "read_lines", "pid_alive", "is_stale", "gc_once",
 ]
 
@@ -86,19 +87,6 @@ def atomic_write(path: str | Path, data: bytes) -> None:
     except BaseException:
         _unlink_quietly(tmp)
         raise
-
-
-def atomic_create(path: str | Path, data: bytes) -> bool:
-    """Create ``path`` holding ``data`` unless it already exists; returns
-    whether this call created it."""
-    tmp = _write_temp(Path(path), data)
-    try:
-        os.link(tmp, path)
-    except FileExistsError:
-        return False
-    finally:
-        _unlink_quietly(tmp)
-    return True
 
 
 def write_json(path: str | Path, record: dict) -> None:

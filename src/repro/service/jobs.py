@@ -23,10 +23,12 @@ Cross-process behaviour (the pre-fork service plane): job ids embed a
 per-manager instance token so ids never collide across workers; every
 lifecycle event persists the job's snapshot to ``<store root>/jobs/``
 (atomic writes), so any sibling worker can serve ``/jobs/<id>`` and
-replay ``/jobs/<id>/events`` for a job it does not own; and before a
-job *collects* it must win the key's cross-process claim
-(:mod:`repro.service.claims`) — losers wait for the winner and hydrate
-its stored result, so two workers never run the same characterization.
+replay ``/jobs/<id>/events`` for a job it does not own; and a job
+*collects* only while it holds the key's cross-process claim, a
+:class:`~repro.service.locking.FileLock` (:mod:`repro.service.claims`).
+Losers poll the lock, still honouring local cancels and siblings'
+cancel markers, and once they hold it hydrate the winner's stored
+result, so two workers never run the same characterization.
 """
 
 from __future__ import annotations
@@ -47,11 +49,12 @@ from repro.cluster.collection import (
     suite_store_key,
 )
 from repro.durable import read_json, state_files, write_json
-from repro.errors import CollectionCancelled, ServiceError
+from repro.errors import CollectionCancelled, ServiceError, StoreError
 from repro.obs.log import get_logger
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Tracer, span as obs_span, tracing
 from repro.service.claims import ClaimRegistry
+from repro.service.locking import FileLock
 from repro.service.store import ResultStore
 from repro.workloads.base import Workload
 from repro.workloads.suite import workload_by_name
@@ -81,6 +84,24 @@ _JOB_SECONDS = REGISTRY.histogram(
     "repro_job_duration_seconds",
     "Wall time from job creation to its terminal state",
 )
+_CLAIMS_ACQUIRED = REGISTRY.counter(
+    "repro_claims_acquired_total",
+    "Cross-process collection claims successfully acquired",
+)
+_CLAIMS_WAITED = REGISTRY.counter(
+    "repro_claims_waited_total",
+    "Claim acquisitions that found a sibling's claim and waited",
+)
+
+#: Distinct jobs allowed to collect at once; further jobs queue.
+MAX_CONCURRENT_JOBS = 2
+#: Collection attempts per job before it is declared failed.
+MAX_ATTEMPTS = 3
+#: Backoff before a job's first retry; doubles per further attempt.
+#: Cancellation interrupts it.
+RETRY_BACKOFF_S = 0.05
+#: Poll cadence of a job waiting on a sibling's claim.
+_CLAIM_POLL_S = 0.05
 
 
 class JobState(enum.Enum):
@@ -202,12 +223,6 @@ class JobManager:
             measurement protocol).
         workers: Process fan-out *within* one collection (passed through
             to :func:`characterize_suite`).
-        max_concurrent_jobs: Distinct jobs allowed to collect at once;
-            further jobs queue.
-        max_attempts: Collection attempts per job before it is declared
-            failed (retries back off exponentially between attempts).
-        retry_backoff_s: Backoff before the first retry; doubles per
-            further attempt.  Cancellation interrupts the wait.
         tracer: Optional service tracer; each job's run is recorded as a
             ``job:<id>`` span carrying the attached correlation ids.
             Explicitly activated on the worker thread — ContextVars do
@@ -215,11 +230,6 @@ class JobManager:
         instance: Short token embedded in every job id so ids from
             sibling worker processes never collide (default: pid plus
             random suffix).
-        claims: Cross-process single-flight registry; ``None`` builds
-            one rooted at the store (pass ``claims=False``-like behavior
-            by sharing a registry explicitly in tests).
-        claim_ttl_s: TTL of collection claims (crashed claimants are
-            taken over after this long without a refresh).
     """
 
     def __init__(
@@ -227,24 +237,15 @@ class JobManager:
         store: ResultStore,
         config: CollectionConfig | None = None,
         workers: int = 1,
-        max_concurrent_jobs: int = 2,
-        max_attempts: int = 3,
-        retry_backoff_s: float = 0.05,
         tracer: Tracer | None = None,
         instance: str | None = None,
-        claims: ClaimRegistry | None = None,
-        claim_ttl_s: float = 900.0,
     ) -> None:
-        if max_attempts < 1:
-            raise ServiceError("max_attempts must be at least 1")
         self.store = store
         self.config = config or CollectionConfig()
         self.workers = workers
-        self.max_attempts = max_attempts
-        self.retry_backoff_s = retry_backoff_s
         self.tracer = tracer
         self.instance = instance or f"{os.getpid():x}-{uuid.uuid4().hex[:4]}"
-        self.claims = claims or ClaimRegistry(store.root, ttl_s=claim_ttl_s)
+        self.claims = ClaimRegistry(store.root)
         #: Shared snapshot directory: any sibling worker sharing the
         #: store can serve (and follow) this manager's jobs from here.
         self.shared_dir = Path(store.root) / "jobs"
@@ -254,7 +255,7 @@ class JobManager:
         self._by_key: dict[str, Job] = {}
         self._counter = 0
         self._executor = ThreadPoolExecutor(
-            max_workers=max_concurrent_jobs, thread_name_prefix="repro-job"
+            max_workers=MAX_CONCURRENT_JOBS, thread_name_prefix="repro-job"
         )
 
     # -- submission -----------------------------------------------------------
@@ -407,8 +408,8 @@ class JobManager:
         Local live jobs cancel immediately; for a sibling's job a cancel
         marker is left next to its snapshot — the owner polls it on its
         next lifecycle event (i.e. between workloads, matching the
-        cooperative-cancel contract).  Returns whether the job was still
-        live when asked.
+        cooperative-cancel contract) and on each poll of a sibling's
+        claim.  Returns whether the job was still live when asked.
         """
         if self.cancel(job_id):
             return True
@@ -451,42 +452,37 @@ class JobManager:
             # own trace event into the flight recorder.
             job._done.set()
 
-    def _claim_or_wait(self, job: Job):
-        """Win ``job.key``'s cross-process claim, or wait the winner out.
+    def _claim_or_wait(self, job: Job) -> FileLock | None:
+        """Hold ``job.key``'s cross-process claim, waiting a sibling out.
 
-        Returns ``(claim, proceed)``: ``claim`` is held (and must be
-        released) when we won; ``proceed`` is ``False`` only when the
-        job was cancelled while waiting.  When a sibling finishes the
-        key meanwhile, we return ``(None, True)`` — the collection call
-        then hydrates the sibling's stored result instead of running.
+        Returns the held lock (the caller releases it), or ``None`` when
+        the job is cancelled while waiting, here or through a sibling's
+        cancel marker.  A sibling that finished the key meanwhile left
+        its result in the store, so the collection run under the lock
+        hydrates it instead of running engines.
         """
+        lock = self.claims.lock(job.key)
         waited = False
         while True:
-            claim = self.claims.acquire(job.key)
-            if claim is not None:
-                return claim, True
-            if job._cancel.is_set():
-                return None, False
+            try:
+                lock.acquire(timeout=0)
+            except StoreError:
+                pass
+            else:
+                _CLAIMS_ACQUIRED.inc()
+                return lock
             if not waited:
-                holder = self.claims.holder(job.key) or {}
-                job.note(
-                    "awaiting-sibling",
-                    holder_pid=holder.get("pid"),
-                    holder_host=holder.get("host"),
-                )
+                _CLAIMS_WAITED.inc()
+                job.note("awaiting-sibling")
                 _log.info(
                     "waiting on sibling's claim",
-                    extra={"job": job.id, "key": job.key,
-                           "holder_pid": holder.get("pid")},
+                    extra={"job": job.id, "key": job.key},
                 )
                 waited = True
-            self.claims.wait(job.key, timeout=1.0, cancel=job._cancel)
-            if job._cancel.is_set():
-                return None, False
-            if self.store.etag(job.key) is not None:
-                # The sibling landed the result: no claim needed, the
-                # collection below is a pure store hydration.
-                return None, True
+            if self._cancel_marker(job.id).exists():
+                job._cancel.set()
+            if job._cancel.wait(_CLAIM_POLL_S):
+                return None
 
     def _run_traced(self, job: Job, workloads: tuple[Workload, ...]) -> None:
         with self._lock:
@@ -496,8 +492,8 @@ class JobManager:
             job.state = JobState.RUNNING
             job.note("running")
 
-        claim, proceed = self._claim_or_wait(job)
-        if not proceed:
+        claim = self._claim_or_wait(job)
+        if claim is None:
             with self._lock:
                 self._finish(job, JobState.CANCELLED)
             return
@@ -506,10 +502,6 @@ class JobManager:
             job.done_workloads = done
             job.total_workloads = total
             job.note("progress", done=done, total=total)
-            if claim is not None:
-                # Long collections push the claim's TTL window forward so
-                # siblings don't mistake slow progress for a crash.
-                self.claims.refresh(claim)
 
         def on_workload(characterization) -> None:
             detail: dict = {"workload": characterization.name}
@@ -550,7 +542,7 @@ class JobManager:
                 except Exception as exc:  # a failed job must never kill its thread
                     job.error = f"{type(exc).__name__}: {exc}"
                     job.note("attempt-failed", attempt=job.attempts, error=job.error)
-                    if job.attempts >= self.max_attempts:
+                    if job.attempts >= MAX_ATTEMPTS:
                         _log.error(
                             "job failed",
                             extra={"job": job.id, "attempts": job.attempts,
@@ -560,7 +552,7 @@ class JobManager:
                             self._finish(job, JobState.FAILED)
                         return
                     # Exponential backoff, interruptible by cancellation.
-                    backoff = self.retry_backoff_s * 2 ** (job.attempts - 1)
+                    backoff = RETRY_BACKOFF_S * 2 ** (job.attempts - 1)
                     _log.warning(
                         "job attempt failed, retrying",
                         extra={"job": job.id, "attempt": job.attempts,
@@ -594,8 +586,7 @@ class JobManager:
                         self._finish(job, JobState.DONE)
                     return
         finally:
-            if claim is not None:
-                self.claims.release(claim)
+            claim.release()
 
     def _finish(self, job: Job, state: JobState) -> None:
         """Terminal transition (caller holds the lock)."""

@@ -1,9 +1,10 @@
 """Cross-process file locking for the shared store directory.
 
 Everything that more than one *process* may mutate concurrently — the
-result store's ``index.json``, the claim registry's records, the shared
-run log — is serialized through a :class:`FileLock`: an advisory
-``fcntl.flock`` on a dedicated lock file next to the protected data.
+result store's ``index.json``, the shared run log — is serialized
+through a :class:`FileLock`: an advisory ``fcntl.flock`` on a dedicated
+lock file next to the protected data.  A collection's cross-process
+claim is one too: the key's own lock, held for the whole collection.
 
 Why ``flock`` and not the lock file's mere existence:
 
@@ -16,6 +17,10 @@ The file lock composes with an in-process :class:`threading.RLock`:
 ``flock`` is per open-file-description, so two threads of one process
 sharing the store instance must serialize *before* touching the file
 lock (a second ``flock`` on the same fd would silently succeed).
+
+``fork`` shares the open file description too, so a forked child (a
+collection pool worker) that outlived a SIGKILLed parent would keep the
+parent's locks held: :func:`_drop_inherited` closes the child's copies.
 """
 
 from __future__ import annotations
@@ -33,6 +38,37 @@ __all__ = ["FileLock"]
 
 #: Poll cadence of a timed acquisition.
 _SPIN_INTERVAL_S = 0.002
+
+#: Every lock whose descriptor is open in this process.  A fork waits
+#: on the guard, so it never lands between an open and its entry here.
+_OPEN: set["FileLock"] = set()
+_OPEN_GUARD = threading.Lock()
+
+
+def _drop_inherited() -> None:
+    """In a forked child: close the copies of the parent's lock
+    descriptors and reset those locks to unheld.
+
+    Only the descriptors are closed: ``LOCK_UN`` on the shared open file
+    description would release the parent's lock too.  The threads that
+    held the locks did not cross the fork, so each gets a fresh thread
+    lock.
+    """
+    _OPEN_GUARD.release()
+    for lock in _OPEN:
+        os.close(lock._fd)
+        lock._fd = None
+        lock._depth = 0
+        lock._thread_lock = threading.RLock()
+    _OPEN.clear()
+
+
+if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX only
+    os.register_at_fork(
+        before=_OPEN_GUARD.acquire,
+        after_in_parent=_OPEN_GUARD.release,
+        after_in_child=_drop_inherited,
+    )
 
 
 class FileLock:
@@ -106,15 +142,17 @@ class FileLock:
 
     def _acquire_flock(self, timeout: float | None) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
+        with _OPEN_GUARD:
+            self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
+            _OPEN.add(self)
         try:
             if timeout is None:
-                fcntl.flock(fd, fcntl.LOCK_EX)
+                fcntl.flock(self._fd, fcntl.LOCK_EX)
             else:
                 deadline = time.monotonic() + timeout
                 while True:
                     try:
-                        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                        fcntl.flock(self._fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
                         break
                     except OSError as exc:
                         if exc.errno not in (errno.EACCES, errno.EAGAIN):
@@ -126,14 +164,16 @@ class FileLock:
                             ) from None
                         time.sleep(_SPIN_INTERVAL_S)
         except BaseException:
-            os.close(fd)
+            self._close()
             raise
-        self._fd = fd
 
     def _release_flock(self) -> None:
+        try:
+            fcntl.flock(self._fd, fcntl.LOCK_UN)
+        finally:
+            self._close()
+
+    def _close(self) -> None:
+        _OPEN.discard(self)
         fd, self._fd = self._fd, None
-        if fd is not None:
-            try:
-                fcntl.flock(fd, fcntl.LOCK_UN)
-            finally:
-                os.close(fd)
+        os.close(fd)

@@ -13,11 +13,11 @@ workers to the same address later.
 The workers share *nothing in memory*.  All coordination happens
 through the on-disk :class:`~repro.service.store.ResultStore` (flock-
 serialized index), the :class:`~repro.service.claims.ClaimRegistry`
-(cross-process single-flight for collections), and the shared job
-snapshots the :class:`~repro.service.jobs.JobManager` persists — which
-is exactly what makes a crashed worker harmless: the supervisor reaps
-it, breaks nothing, and forks a replacement that picks the same state
-back up from disk.
+(a per-key flock held for each collection: cross-process single-flight),
+and the shared job snapshots the :class:`~repro.service.jobs.JobManager`
+persists — which is exactly what makes a crashed worker harmless: the
+kernel frees its locks, the supervisor reaps it, and forks a replacement
+that picks the same state back up from disk.
 
 Lifecycle::
 

@@ -1,11 +1,14 @@
-"""Tests for cross-process single-flight claim records."""
+"""Tests for cross-process single-flight claims and the run log."""
 
 import json
 import multiprocessing
 import os
-import threading
+import signal
 import time
 
+import pytest
+
+from repro.errors import StoreError
 from repro.service.claims import ClaimRegistry
 
 _MP = multiprocessing.get_context("fork")
@@ -13,109 +16,28 @@ _MP = multiprocessing.get_context("fork")
 
 def test_acquire_release_roundtrip(tmp_path):
     registry = ClaimRegistry(tmp_path)
-    claim = registry.acquire("suite-abc")
-    assert claim is not None
-    assert registry.holder("suite-abc")["pid"] == os.getpid()
-    registry.release(claim)
-    assert registry.holder("suite-abc") is None
+    claim = registry.lock("suite-abc")
+    claim.acquire(timeout=0)
+    assert claim.locked_by_me()
+    assert (tmp_path / "claims" / "suite-abc.lock").exists()
+    claim.release()
     # Released -> reacquirable immediately.
-    again = registry.acquire("suite-abc")
-    assert again is not None and again.token != claim.token
-    registry.release(again)
+    again = registry.lock("suite-abc")
+    again.acquire(timeout=0)
+    again.release()
 
 
 def test_contended_acquire_has_one_winner(tmp_path):
     """Two registries (two would-be workers) racing one key: exactly
-    one wins, the loser sees the live holder."""
-    first = ClaimRegistry(tmp_path)
-    second = ClaimRegistry(tmp_path)
-    claim = first.acquire("k")
-    assert claim is not None
-    assert second.acquire("k") is None
-    assert second.holder("k") is not None
-    first.release(claim)
-    assert second.acquire("k") is not None
-
-
-def test_release_is_token_verified(tmp_path):
-    """A stale claim handle from a broken-and-retaken claim must not
-    release the new owner's claim."""
-    registry = ClaimRegistry(tmp_path, ttl_s=0.05)
-    old = registry.acquire("k")
-    time.sleep(0.1)  # expire it
-    fresh = ClaimRegistry(tmp_path, ttl_s=900.0).acquire("k")
-    assert fresh is not None  # broke the expired claim and won
-    registry.release(old)  # token mismatch: must be a no-op
-    assert registry.holder("k") is not None
-
-
-def test_expired_claim_is_broken_by_next_acquirer(tmp_path):
-    short = ClaimRegistry(tmp_path, ttl_s=0.05)
-    claim = short.acquire("k")
-    assert claim is not None
-    time.sleep(0.1)
-    taker = ClaimRegistry(tmp_path, ttl_s=900.0)
-    assert taker.acquire("k") is not None
-
-
-def test_refresh_extends_the_ttl_window(tmp_path):
-    registry = ClaimRegistry(tmp_path, ttl_s=0.3)
-    claim = registry.acquire("k")
-    for _ in range(3):
-        time.sleep(0.15)
-        registry.refresh(claim)
-    # 0.45s elapsed > ttl, but refreshes kept the claim live.
-    assert registry.holder("k") is not None
-    registry.release(claim)
-
-
-def _claim_and_die(root, key, claimed) -> None:
-    registry = ClaimRegistry(root)
-    claim = registry.acquire(key)
-    assert claim is not None
-    claimed.set()
-    os._exit(1)  # crash without releasing
-
-
-def test_dead_claimant_is_stale_despite_fresh_ttl(tmp_path):
-    """A claim owned by a dead pid on this host is breakable long
-    before its TTL expires — crashed workers never wedge a key."""
-    claimed = _MP.Event()
-    child = _MP.Process(target=_claim_and_die, args=(tmp_path, "k", claimed))
-    child.start()
-    assert claimed.wait(10.0)
-    child.join(10.0)
-    survivor = ClaimRegistry(tmp_path, ttl_s=900.0)
-    assert survivor.holder("k") is None  # stale, not live
-    assert survivor.acquire("k") is not None  # broken and retaken
-
-
-def test_wait_returns_when_claim_clears(tmp_path):
-    registry = ClaimRegistry(tmp_path)
-    claim = registry.acquire("k")
-    done = []
-
-    def waiter() -> None:
-        done.append(ClaimRegistry(tmp_path).wait("k", timeout=10.0))
-
-    thread = threading.Thread(target=waiter)
-    thread.start()
-    time.sleep(0.1)
-    registry.release(claim)
-    thread.join(10.0)
-    assert done == [True]
-
-
-def test_wait_times_out_and_honours_cancel(tmp_path):
-    registry = ClaimRegistry(tmp_path)
-    claim = registry.acquire("k")
-    try:
-        assert registry.wait("k", timeout=0.1) is False
-        cancel = threading.Event()
-        cancel.set()
-        assert registry.wait("k", timeout=10.0, cancel=cancel) is False
-    finally:
-        registry.release(claim)
+    one wins, even within one process."""
+    first = ClaimRegistry(tmp_path).lock("k")
+    second = ClaimRegistry(tmp_path).lock("k")
+    first.acquire(timeout=0)
+    with pytest.raises(StoreError, match="timed out"):
+        second.acquire(timeout=0)
+    first.release()
+    second.acquire(timeout=0)
+    second.release()
 
 
 def test_record_run_detects_duplicates(tmp_path):
@@ -145,18 +67,21 @@ def test_runs_log_skips_torn_tail(tmp_path):
 
 
 def _contender(root, key, outcomes, barrier, release) -> None:
-    registry = ClaimRegistry(root)
+    claim = ClaimRegistry(root).lock(key)
     barrier.wait(10.0)
-    claim = registry.acquire(key)
-    outcomes.put(json.dumps({"pid": os.getpid(), "won": claim is not None}))
-    # Stay alive until every sibling has reported: a winner that exits
-    # early is (correctly!) treated as crashed and its claim broken,
-    # which is the dead-pid staleness path, not the race under test.
+    try:
+        claim.acquire(timeout=0)
+        won = True
+    except StoreError:
+        won = False
+    outcomes.put(json.dumps({"pid": os.getpid(), "won": won}))
+    # Hold until every sibling has tried: a winner that exits early
+    # frees the key, and a late sibling would win it too.
     release.wait(30.0)
 
 
 def test_cross_process_acquire_race_single_winner(tmp_path):
-    """Four processes hit O_EXCL simultaneously: exactly one claim."""
+    """Four processes try one key at once: exactly one holds it."""
     outcomes = _MP.Queue()
     barrier = _MP.Barrier(4)
     release = _MP.Event()
@@ -174,9 +99,42 @@ def test_cross_process_acquire_race_single_winner(tmp_path):
         release.set()
         for proc in procs:
             proc.join(30.0)
-    winners = [report for report in reports if report["won"]]
-    assert len(winners) == 1
-    # The claim record on disk names exactly that winner (it only went
-    # stale when the fleet exited above).
-    record = json.loads((tmp_path / "claims" / "k.claim").read_text())
-    assert record["pid"] == winners[0]["pid"]
+    assert sum(report["won"] for report in reports) == 1
+    # The fleet has exited: the kernel freed the winner's claim.
+    survivor = ClaimRegistry(tmp_path).lock("k")
+    survivor.acquire(timeout=0)
+    survivor.release()
+
+
+def _claim_then_fork(root, key, report) -> None:
+    ClaimRegistry(root).lock(key).acquire()
+    child = os.fork()
+    if child == 0:  # a pool worker forked inside the collection
+        time.sleep(60.0)
+        os._exit(0)
+    report.put(child)
+    time.sleep(60.0)
+
+
+def test_killed_claimant_with_live_child_frees_the_key(tmp_path):
+    """SIGKILL a claimant whose forked child lives on: the key is free
+    at once.  The flock belongs to the open file description the fork
+    shares, so this holds only because the child closes its copy."""
+    report = _MP.Queue()
+    holder = _MP.Process(target=_claim_then_fork, args=(tmp_path, "k", report))
+    holder.start()
+    child = None
+    try:
+        child = report.get(timeout=30.0)
+        holder.kill()
+        holder.join(10.0)
+        assert not holder.is_alive()
+        os.kill(child, 0)  # the child outlives its parent
+        survivor = ClaimRegistry(tmp_path).lock("k")
+        survivor.acquire(timeout=1.0)
+        survivor.release()
+    finally:
+        holder.kill()
+        holder.join(10.0)
+        if child is not None:
+            os.kill(child, signal.SIGKILL)

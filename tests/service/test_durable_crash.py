@@ -10,7 +10,7 @@ so damage from earlier kills accumulates and must stay harmless:
 - every ``*.json`` state file parses as a whole record;
 - leftover ``*.tmp`` files (the test plants one in every state
   directory; killed writers leave real ones) are ignored by every reader;
-- a dead owner's claim is broken by the next ``acquire``;
+- a dead owner's claim is free at once;
 - the next ``record_run`` after a torn ``runs.log`` tail is readable.
 
 Every payload is a function of its key, as for every real store caller
@@ -74,14 +74,12 @@ def _put_object_adopt(root, start: int, ready) -> None:
 
 
 def _claims(root, start: int, ready) -> None:
-    registry = ClaimRegistry(root, ttl_s=900.0)
+    registry = ClaimRegistry(root)
+    claim = registry.lock("hot")
     ready()
     for i in range(start, 10**9):
-        claim = registry.acquire("hot")
-        if claim is not None:
-            registry.refresh(claim)
+        with claim:
             registry.record_run(f"run-{start}-{i}")
-            registry.release(claim)
 
 
 def _shards(root, _start: int, ready) -> None:
@@ -201,11 +199,11 @@ def test_claims_and_run_log_survive_sigkill(tmp_path):
     log = tmp_path / "claims" / "runs.log"
 
     def check(root, kill):
-        survivor = ClaimRegistry(root, ttl_s=900.0)
-        # The dead child's claim (if it held one) is broken at once.
-        claim = survivor.acquire("hot")
-        assert claim is not None
-        survivor.release(claim)
+        survivor = ClaimRegistry(root)
+        # The dead child's claim (if it held one) is free at once.
+        claim = survivor.lock("hot")
+        claim.acquire(timeout=0)
+        claim.release()
         if kill % 2:  # a SIGKILL mid-write(2) is too rare to wait for
             with open(log, "ab") as handle:
                 handle.write(b'{"key": "torn-')

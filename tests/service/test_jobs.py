@@ -131,9 +131,9 @@ def test_transient_failure_is_retried_with_backoff(tmp_path, monkeypatch):
         return real_suite(*args, **kwargs)
 
     monkeypatch.setattr(jobs_module, "characterize_suite", flaky)
-    manager = JobManager(
-        ResultStore(tmp_path), config=FAST, max_attempts=3, retry_backoff_s=0.01
-    )
+    monkeypatch.setattr(jobs_module, "MAX_ATTEMPTS", 3)
+    monkeypatch.setattr(jobs_module, "RETRY_BACKOFF_S", 0.01)
+    manager = JobManager(ResultStore(tmp_path), config=FAST)
     try:
         job = manager.collect(("H-Grep",), timeout=120)
         assert job.state is JobState.DONE
@@ -149,9 +149,9 @@ def test_exhausted_retries_fail_the_job(tmp_path, monkeypatch):
         raise RuntimeError("permanent failure")
 
     monkeypatch.setattr(jobs_module, "characterize_suite", explode)
-    manager = JobManager(
-        ResultStore(tmp_path), config=FAST, max_attempts=2, retry_backoff_s=0.01
-    )
+    monkeypatch.setattr(jobs_module, "MAX_ATTEMPTS", 2)
+    monkeypatch.setattr(jobs_module, "RETRY_BACKOFF_S", 0.01)
+    manager = JobManager(ResultStore(tmp_path), config=FAST)
     try:
         job = manager.collect(("H-Grep",), timeout=30)
         assert job.state is JobState.FAILED

@@ -51,26 +51,28 @@ def pair(tmp_path):
     b.shutdown()
 
 
+def _await_sibling(job) -> None:
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        if any(e["event"] == "awaiting-sibling" for e in job.events):
+            return
+        time.sleep(0.02)
+    pytest.fail("job never reported awaiting-sibling")
+
+
 def test_sibling_claim_blocks_then_job_proceeds(pair, tmp_path):
     """A job whose key a sibling has claimed waits (visible as an
     ``awaiting-sibling`` event) and proceeds once the claim clears —
     with exactly one collection run journaled."""
     a, b = pair
-    sibling = ClaimRegistry(tmp_path)
-    claim = sibling.acquire(_key())
-    assert claim is not None
+    claim = ClaimRegistry(tmp_path).lock(_key())
+    claim.acquire(timeout=0)
 
     job = a.submit(NAMES)
-    deadline = time.monotonic() + 10.0
-    while time.monotonic() < deadline:
-        if any(e["event"] == "awaiting-sibling" for e in job.events):
-            break
-        time.sleep(0.02)
-    else:
-        pytest.fail("job never reported awaiting-sibling")
+    _await_sibling(job)
     assert job.state in (JobState.QUEUED, JobState.RUNNING)
 
-    sibling.release(claim)  # "sibling" finishes without a result
+    claim.release()  # "sibling" finishes without a result
     assert job.wait(120.0)
     assert job.state is JobState.DONE
     registry = ClaimRegistry(tmp_path)
@@ -141,6 +143,23 @@ def test_cross_worker_cancel_via_marker(pair):
     assert b.load_shared(job.id)["state"] == "cancelled"
     # Cancelling a terminal job reports not-live.
     assert b.request_shared_cancel(job.id) is False
+
+
+def test_cross_worker_cancel_reaches_a_job_awaiting_a_claim(pair, tmp_path):
+    """B's cancel marker reaches A's job while it waits on a sibling's
+    claim: the job is cancelled within 2 s and never collects."""
+    a, b = pair
+    claim = ClaimRegistry(tmp_path).lock(_key())
+    claim.acquire(timeout=0)
+    try:
+        job = a.submit(NAMES)
+        _await_sibling(job)
+        assert b.request_shared_cancel(job.id) is True
+        assert job.wait(2.0)
+        assert job.state is JobState.CANCELLED
+    finally:
+        claim.release()
+    assert ClaimRegistry(tmp_path).runs() == []
 
 
 def test_http_plane_serves_sibling_jobs(tmp_path):

@@ -50,7 +50,6 @@ def _readers(root):
     shard = telemetry_dir(root, "metrics") / "server-a-101.json"
     spill = telemetry_dir(root, "profiles") / "server-a-101.json"
     return jobs, [
-        ("claim", root / "claims" / "k.claim", lambda: claims.holder("k")),
         ("runs-log", root / "claims" / "runs.log", claims.runs),
         ("job-load_shared", snapshot, lambda: jobs.load_shared(snapshot.stem)),
         ("job-shared_jobs", snapshot, jobs.shared_jobs),
@@ -92,7 +91,7 @@ def test_every_reader_treats_a_damaged_file_as_absent(tmp_path):
                 assert path.read_bytes() == data  # readers never rewrite
         finally:
             jobs.shutdown()
-    assert len(outcomes) == len(DAMAGED) * 11
+    assert len(outcomes) == len(DAMAGED) * 10
     wrong = {key: got for key, got in outcomes.items() if got not in (None, [])}
     assert wrong == {}
 
