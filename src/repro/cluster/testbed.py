@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.arch.batch import PhasePlan, plan_workload
-from repro.arch.trace import SynthScratch
 from repro.cluster.network import GigabitNetwork
 from repro.cluster.node import Node, NodeConfig
 from repro.errors import ConfigurationError
@@ -258,11 +257,8 @@ class Cluster:
                 surviving = [min(set(range(self.NUM_SLAVES)) - set(lost))]
             measured_slaves = surviving
 
-        # Hoist every measured slave's synthesis ahead of all simulation:
-        # each slave's plan is drawn from its own rng, while one shared
-        # scratch backs every sample's uniform draws so the whole
-        # measurement reuses a single set of preallocated buffers.
-        scratch = SynthScratch()
+        # Hoist every measured slave's synthesis ahead of all simulation;
+        # each slave's plan is drawn from its own rng.
         slave_rngs: dict[int, np.random.Generator] = {}
         slave_plans: dict[int, list[PhasePlan]] = {}
         for slave_index in measured_slaves:
@@ -279,7 +275,6 @@ class Cluster:
                 core_ids,
                 measurement.ops_per_core,
                 measurement.warmup_fraction,
-                scratch=scratch,
             )
 
         profiler = PerfProfiler()

@@ -199,25 +199,59 @@ class ExecutionTrace:
 #: Sizes of the exact leaf types :func:`estimate_bytes` looks up by type.
 _LEAF_BYTES: dict[type, int] = {type(None): 1, bool: 1, int: 8, float: 8}
 
+#: Types the ``isinstance`` chain of :func:`_estimate_other` claims before
+#: its dataclass test.
+_CHAINED = (int, float, str, bytes, bytearray, tuple, list, dict)
+
+#: Field names per dataclass type (``None``: not sized as a dataclass by
+#: type), filled as :func:`estimate_bytes` meets each type.
+_DATACLASS_FIELDS: dict[type, tuple[str, ...] | None] = {}
+
+
+def _dataclass_fields(kind: type) -> tuple[str, ...] | None:
+    try:
+        return _DATACLASS_FIELDS[kind]
+    except KeyError:
+        fields = getattr(kind, "__dataclass_fields__", None)
+        names = (
+            tuple(fields)
+            if isinstance(fields, dict) and not issubclass(kind, _CHAINED)
+            else None
+        )
+        _DATACLASS_FIELDS[kind] = names
+        return names
+
 
 def estimate_bytes(record: object) -> int:
     """Cheap, deterministic wire-size estimate of one record.
 
     The engines track data volume through this instead of
     ``sys.getsizeof`` so byte counts are stable across Python versions.
-    Exact tuples, lists, strings and leaves are sized by ``type()``
-    (tuple and list items inline); every other type, subclasses
-    included, goes through the ``isinstance`` chain below.
+    Exact tuples, lists, strings, bytes and leaves are sized by
+    ``type()``, tuple and list items and the items of tuples nested in
+    them inline; a dataclass record by its type's cached field names.
+    Every other type, subclasses included, goes through
+    :func:`_estimate_other`'s ``isinstance`` chain.
     """
     kind = type(record)
     if kind is tuple or kind is list:
         size = 2
         for item in record:
-            item_kind = type(item)
-            if item_kind is str:
+            kind = type(item)
+            if kind is str:
                 size += len(item) + 1
-            elif item_kind in _LEAF_BYTES:
-                size += _LEAF_BYTES[item_kind]
+            elif kind in _LEAF_BYTES:
+                size += _LEAF_BYTES[kind]
+            elif kind is tuple or kind is list:
+                size += 2
+                for inner in item:
+                    kind = type(inner)
+                    if kind is str:
+                        size += len(inner) + 1
+                    elif kind in _LEAF_BYTES:
+                        size += _LEAF_BYTES[kind]
+                    else:
+                        size += estimate_bytes(inner)
             else:
                 size += estimate_bytes(item)
         return size
@@ -225,6 +259,15 @@ def estimate_bytes(record: object) -> int:
         return len(record) + 1
     if kind in _LEAF_BYTES:
         return _LEAF_BYTES[kind]
+    if kind is bytes:
+        return len(record)
+    names = _dataclass_fields(kind)
+    if names is not None:
+        return 2 + sum(estimate_bytes(getattr(record, name)) for name in names)
+    return _estimate_other(record)
+
+
+def _estimate_other(record: object) -> int:
     # ``None`` and ``bool`` admit no subclasses, so the chain starts here.
     if isinstance(record, (int, float)):
         return 8

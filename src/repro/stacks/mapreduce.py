@@ -101,13 +101,17 @@ def _sort_cost(n: int) -> float:
 class _MapTaskResult:
     """What one committed map attempt produced.
 
-    ``runs`` holds ``(partition, sorted_run)`` pairs; the engine merges
-    them into the global per-reducer state only after the attempt
-    commits, so failed/speculative attempts leave no residue.
+    ``runs`` holds ``(partition, sorted_run, run_bytes)`` triples; the
+    engine merges them into the global per-reducer state only after the
+    attempt commits, so failed/speculative attempts leave no residue.
+    Sizes are measured once, where the records are made, and travel with
+    them (``map_bytes`` to a map-only job's output, ``run_bytes`` to the
+    reducer).
     """
 
     map_out: list
-    runs: list[tuple[int, list[tuple]]]
+    map_bytes: int
+    runs: list[tuple[int, list[tuple], int]]
     spilled_records: int
     combine_output_records: int
 
@@ -117,6 +121,7 @@ class _ReduceTaskResult:
     """What one committed reduce attempt produced."""
 
     reduce_out: list
+    reduce_bytes: int
     groups: int
     run_records: int
     run_bytes: int
@@ -198,8 +203,11 @@ class MapReduceEngine:
         # ---- map + spill (one task per block, scheduled on the block's node)
         num_partitions = job.num_reducers
         partitioner = job.partitioner or (lambda key, n: stable_hash(key) % n)
-        partition_runs: list[list[list[tuple]]] = [[] for _ in range(num_partitions)]
+        partition_runs: list[list[tuple[list[tuple], int]]] = [
+            [] for _ in range(num_partitions)
+        ]
         map_only_output: list = []
+        map_only_bytes = 0
         with obs_span(f"phase:map:{job.name}", "phase", tasks=len(blocks)):
             for block in blocks:
                 task: _MapTaskResult = run_task(
@@ -218,15 +226,19 @@ class MapReduceEngine:
                 counters.combine_output_records += task.combine_output_records
                 if job.reducer is None:
                     map_only_output.extend(task.map_out)
+                    map_only_bytes += task.map_bytes
                 else:
-                    for partition, run in task.runs:
-                        partition_runs[partition].append(run)
+                    for partition, run, run_bytes in task.runs:
+                        partition_runs[partition].append((run, run_bytes))
 
         if job.reducer is None:
-            return self._finish(job, map_only_output, output_path, trace, counters)
+            return self._finish(
+                job, map_only_output, map_only_bytes, output_path, trace, counters
+            )
 
         # ---- shuffle + merge + reduce (one task per partition)
         output: list = []
+        output_bytes = 0
         with obs_span(
             f"phase:reduce:{job.name}", "phase", tasks=num_partitions
         ):
@@ -245,7 +257,8 @@ class MapReduceEngine:
                 counters.reduce_input_groups += task.groups
                 counters.reduce_output_records += len(task.reduce_out)
                 output.extend(task.reduce_out)
-        return self._finish(job, output, output_path, trace, counters)
+                output_bytes += task.reduce_bytes
+        return self._finish(job, output, output_bytes, output_path, trace, counters)
 
     def _map_task(
         self,
@@ -271,10 +284,10 @@ class MapReduceEngine:
             bytes_out=out_bytes,
         )
         if job.reducer is None:
-            return _MapTaskResult(map_out, [], 0, 0)
+            return _MapTaskResult(map_out, out_bytes, [], 0, 0)
         spilled = 0
         combined = 0
-        runs: list[tuple[int, list[tuple]]] = []
+        runs: list[tuple[int, list[tuple], int]] = []
         for start in range(0, max(1, len(map_out)), self.spill_records):
             chunk = map_out[start : start + self.spill_records]
             if not chunk:
@@ -284,7 +297,8 @@ class MapReduceEngine:
                 chunk = _apply_combiner(job.combiner, chunk)
                 combined += len(chunk)
             spilled += len(chunk)
-            chunk_bytes = sum(map(estimate_bytes, chunk))
+            pair_bytes = list(map(estimate_bytes, chunk))
+            chunk_bytes = sum(pair_bytes)
             recorder.emit(
                 PhaseKind.SPILL,
                 f"spill:{job.name}",
@@ -297,23 +311,28 @@ class MapReduceEngine:
             )
             # Partition the sorted spill into per-reducer runs.
             per_partition: list[list[tuple]] = [[] for _ in range(num_partitions)]
-            for pair in chunk:
-                per_partition[partitioner(pair[0], num_partitions)].append(pair)
+            per_partition_bytes = [0] * num_partitions
+            for pair, size in zip(chunk, pair_bytes):
+                partition = partitioner(pair[0], num_partitions)
+                per_partition[partition].append(pair)
+                per_partition_bytes[partition] += size
             for partition, run in enumerate(per_partition):
                 if run:
-                    runs.append((partition, run))
-        return _MapTaskResult(map_out, runs, spilled, combined)
+                    runs.append((partition, run, per_partition_bytes[partition]))
+        return _MapTaskResult(map_out, out_bytes, runs, spilled, combined)
 
     def _reduce_task(
         self,
         job: MapReduceJob,
-        runs: list[list[tuple]],
+        sized_runs: list[tuple[list[tuple], int]],
         worker: int,
         recorder: TaskRecorder,
     ) -> _ReduceTaskResult:
-        """One reduce attempt: fetch runs, merge-sort them, reduce groups."""
+        """One reduce attempt: fetch ``(run, run_bytes)`` runs, merge-sort
+        them, reduce groups."""
+        runs = [run for run, _size in sized_runs]
         run_records = sum(len(run) for run in runs)
-        run_bytes = sum(sum(map(estimate_bytes, run)) for run in runs)
+        run_bytes = sum(size for _run, size in sized_runs)
         recorder.emit(
             PhaseKind.SHUFFLE,
             f"shuffle:{job.name}",
@@ -340,6 +359,7 @@ class MapReduceEngine:
         for key, values in _group_sorted(merged):
             groups += 1
             reduce_out.extend(job.reducer(key, values))
+        reduce_bytes = sum(map(estimate_bytes, reduce_out))
         recorder.emit(
             PhaseKind.REDUCE,
             f"reduce:{job.name}",
@@ -347,21 +367,22 @@ class MapReduceEngine:
             records_in=len(merged),
             bytes_in=run_bytes,
             records_out=len(reduce_out),
-            bytes_out=sum(map(estimate_bytes, reduce_out)),
+            bytes_out=reduce_bytes,
             groups=float(groups),
         )
-        return _ReduceTaskResult(reduce_out, groups, run_records, run_bytes)
+        return _ReduceTaskResult(reduce_out, reduce_bytes, groups, run_records, run_bytes)
 
     def _finish(
         self,
         job: MapReduceJob,
         output: list,
+        out_bytes: int,
         output_path: str | None,
         trace: ExecutionTrace,
         counters: _JobCounters,
     ) -> list:
-        """Write output to HDFS (if requested) and emit the OUTPUT phase."""
-        out_bytes = sum(map(estimate_bytes, output))
+        """Write output (of ``out_bytes``, sized by the tasks that made it)
+        to HDFS if requested, and emit the OUTPUT phase."""
         trace.emit(
             PhaseKind.OUTPUT,
             f"output:{job.name}",

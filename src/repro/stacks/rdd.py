@@ -28,7 +28,7 @@ from repro.faults.recovery import run_task
 from repro.stacks.base import ExecutionTrace, PhaseKind, estimate_bytes, stable_hash
 from repro.stacks.hdfs import Hdfs
 
-__all__ = ["RDD", "SparkContextLike"]
+__all__ = ["RDD", "SizedPartitions", "SparkContextLike"]
 
 _rdd_ids = itertools.count(1)
 
@@ -37,13 +37,18 @@ def _partition_bytes(partition: list) -> int:
     return sum(map(estimate_bytes, partition))
 
 
+#: Computed partitions with each partition's byte size, sized once where
+#: the partition was made and carried to every consumer.
+SizedPartitions = tuple[list[list], list[int]]
+
+
 class SparkContextLike:
     """Minimal protocol the engine must satisfy (see ``spark.SparkEngine``)."""
 
     num_workers: int
     default_parallelism: int
 
-    def compute(self, rdd: "RDD", trace: ExecutionTrace) -> list[list]:
+    def compute(self, rdd: "RDD", trace: ExecutionTrace) -> SizedPartitions:
         raise NotImplementedError
 
 
@@ -60,9 +65,30 @@ class RDD:
 
     # -- lineage (subclasses implement) ----------------------------------
 
-    def compute_partitions(self, trace: ExecutionTrace) -> list[list]:
-        """Compute all partitions (no caching — use ``engine.compute``)."""
+    def compute_partitions(self, trace: ExecutionTrace) -> SizedPartitions:
+        """Compute all partitions and their byte sizes (no caching — use
+        ``engine.compute``)."""
         raise NotImplementedError
+
+    def _run_tasks(
+        self, trace: ExecutionTrace, name: str, body, inputs, *, reads_hdfs: bool = False
+    ) -> SizedPartitions:
+        """One task per partition: ``body(recorder, worker, *args)`` for
+        each ``args`` of ``inputs``, in partition order; each returns its
+        ``(partition, size)``."""
+        partitions: list[list] = []
+        sizes: list[int] = []
+        for index, args in enumerate(inputs):
+            partition, size = self._run_task(
+                trace,
+                name,
+                index,
+                lambda recorder, worker, args=args: body(recorder, worker, *args),
+                reads_hdfs=reads_hdfs,
+            )
+            partitions.append(partition)
+            sizes.append(size)
+        return partitions, sizes
 
     def preferred_worker(self, partition: int) -> int:
         """Worker slot a partition's task prefers (default round-robin)."""
@@ -83,19 +109,23 @@ class RDD:
 
     def map(self, fn: Callable) -> "RDD":
         """Element-wise transformation (narrow)."""
-        return _MappedRDD(self, fn, flat=False, label="map")
+        return _NarrowRDD(self, "map", lambda part: [fn(record) for record in part])
 
     def flat_map(self, fn: Callable) -> "RDD":
         """Element-to-many transformation (narrow)."""
-        return _MappedRDD(self, fn, flat=True, label="flatMap")
+        return _NarrowRDD(
+            self, "flatMap", lambda part: [item for record in part for item in fn(record)]
+        )
 
     def filter(self, predicate: Callable) -> "RDD":
         """Keep elements satisfying ``predicate`` (narrow)."""
-        return _FilteredRDD(self, predicate)
+        return _NarrowRDD(
+            self, "filter", lambda part: [record for record in part if predicate(record)]
+        )
 
     def map_partitions(self, fn: Callable[[list], Iterable]) -> "RDD":
         """Partition-at-a-time transformation (narrow)."""
-        return _MapPartitionsRDD(self, fn)
+        return _NarrowRDD(self, "mapPartitions", lambda part: list(fn(part)))
 
     def union(self, other: "RDD") -> "RDD":
         """Bag union (UNION ALL): concatenates partitions, no shuffle."""
@@ -157,17 +187,17 @@ class RDD:
 
     def map_values(self, fn: Callable) -> "RDD":
         """Transform pair values, preserving keys (narrow)."""
-        return _MappedRDD(
-            self, lambda kv, f=fn: (kv[0], f(kv[1])), flat=False, label="mapValues"
+        return _NarrowRDD(
+            self, "mapValues", lambda part: [(kv[0], fn(kv[1])) for kv in part]
         )
 
     def keys(self) -> "RDD":
         """The keys of a pair RDD (narrow)."""
-        return _MappedRDD(self, lambda kv: kv[0], flat=False, label="keys")
+        return _NarrowRDD(self, "keys", lambda part: [kv[0] for kv in part])
 
     def values(self) -> "RDD":
         """The values of a pair RDD (narrow)."""
-        return _MappedRDD(self, lambda kv: kv[1], flat=False, label="values")
+        return _NarrowRDD(self, "values", lambda part: [kv[1] for kv in part])
 
     def cache(self) -> "RDD":
         """Pin computed partitions in executor memory."""
@@ -178,20 +208,20 @@ class RDD:
 
     def collect(self, trace: ExecutionTrace) -> list:
         """Materialise all elements on the driver."""
-        partitions = self.engine.compute(self, trace)
+        partitions, sizes = self.engine.compute(self, trace)
         result = [record for partition in partitions for record in partition]
         trace.emit(
             PhaseKind.DRIVER,
             "collect",
             worker=-1,
             records_in=len(result),
-            bytes_in=_partition_bytes(result),
+            bytes_in=sum(sizes),
         )
         return result
 
     def count(self, trace: ExecutionTrace) -> int:
         """Number of elements."""
-        partitions = self.engine.compute(self, trace)
+        partitions, _sizes = self.engine.compute(self, trace)
         total = sum(len(partition) for partition in partitions)
         trace.emit(PhaseKind.DRIVER, "count", worker=-1, records_in=total, bytes_in=0)
         return total
@@ -204,7 +234,7 @@ class RDD:
         """
         if n < 0:
             raise StackExecutionError("take(n) needs a non-negative n")
-        partitions = self.engine.compute(self, trace)
+        partitions, _sizes = self.engine.compute(self, trace)
         taken: list = []
         for partition in partitions:
             for record in partition:
@@ -246,24 +276,23 @@ class _SourceRDD(RDD):
         super().__init__(engine, max(1, len(partitions)))
         self._partitions = [list(p) for p in partitions] or [[]]
 
-    def compute_partitions(self, trace: ExecutionTrace) -> list[list]:
-        output: list[list] = []
-        for index, partition in enumerate(self._partitions):
-            def body(recorder, worker, partition=partition):
-                size = _partition_bytes(partition)
-                recorder.emit(
-                    PhaseKind.STAGE,
-                    "scan:parallelize",
-                    worker=worker,
-                    records_in=len(partition),
-                    bytes_in=size,
-                    records_out=len(partition),
-                    bytes_out=size,
-                )
-                return list(partition)
+    def compute_partitions(self, trace: ExecutionTrace) -> SizedPartitions:
+        def body(recorder, worker, partition):
+            size = _partition_bytes(partition)
+            recorder.emit(
+                PhaseKind.STAGE,
+                "scan:parallelize",
+                worker=worker,
+                records_in=len(partition),
+                bytes_in=size,
+                records_out=len(partition),
+                bytes_out=size,
+            )
+            return list(partition), size
 
-            output.append(self._run_task(trace, "scan:parallelize", index, body))
-        return output
+        return self._run_tasks(
+            trace, "scan:parallelize", body, ((p,) for p in self._partitions)
+        )
 
 
 class _HdfsRDD(RDD):
@@ -279,131 +308,64 @@ class _HdfsRDD(RDD):
             return self._blocks[partition].primary_node
         return super().preferred_worker(partition)
 
-    def compute_partitions(self, trace: ExecutionTrace) -> list[list]:
-        partitions: list[list] = []
-        for index, block in enumerate(self._blocks):
-            def body(recorder, worker, block=block):
-                records = list(block.records)
-                recorder.emit(
-                    PhaseKind.STAGE,
-                    f"scan:{self._path}",
-                    worker=worker,
-                    records_in=len(records),
-                    bytes_in=block.bytes,
-                    records_out=len(records),
-                    bytes_out=block.bytes,
-                )
-                return records
-
-            partitions.append(
-                self._run_task(
-                    trace, f"scan:{self._path}", index, body, reads_hdfs=True
-                )
+    def compute_partitions(self, trace: ExecutionTrace) -> SizedPartitions:
+        def body(recorder, worker, block):
+            records = list(block.records)
+            recorder.emit(
+                PhaseKind.STAGE,
+                f"scan:{self._path}",
+                worker=worker,
+                records_in=len(records),
+                bytes_in=block.bytes,
+                records_out=len(records),
+                bytes_out=block.bytes,
             )
-        return partitions or [[]]
+            return records, block.bytes
+
+        partitions, sizes = self._run_tasks(
+            trace,
+            f"scan:{self._path}",
+            body,
+            ((block,) for block in self._blocks),
+            reads_hdfs=True,
+        )
+        return (partitions, sizes) if partitions else ([[]], [0])
 
 
-class _MappedRDD(RDD):
-    def __init__(self, parent: RDD, fn: Callable, flat: bool, label: str) -> None:
+class _NarrowRDD(RDD):
+    """A per-partition transformation: ``transform(partition) -> list``,
+    one ``stage:<label>`` task per partition (no shuffle)."""
+
+    def __init__(self, parent: RDD, label: str, transform: Callable[[list], list]) -> None:
         super().__init__(parent.engine, parent.num_partitions)
         self._parent = parent
-        self._fn = fn
-        self._flat = flat
         self._label = label
+        self._transform = transform
 
     def preferred_worker(self, partition: int) -> int:
         return self._parent.preferred_worker(partition)
 
-    def compute_partitions(self, trace: ExecutionTrace) -> list[list]:
-        parents = self.engine.compute(self._parent, trace)
-        output: list[list] = []
-        for index, partition in enumerate(parents):
-            def body(recorder, worker, partition=partition):
-                if self._flat:
-                    result = [
-                        item for record in partition for item in self._fn(record)
-                    ]
-                else:
-                    result = [self._fn(record) for record in partition]
-                recorder.emit(
-                    PhaseKind.STAGE,
-                    f"stage:{self._label}",
-                    worker=worker,
-                    records_in=len(partition),
-                    bytes_in=_partition_bytes(partition),
-                    records_out=len(result),
-                    bytes_out=_partition_bytes(result),
-                )
-                return result
-
-            output.append(
-                self._run_task(trace, f"stage:{self._label}", index, body)
+    def compute_partitions(self, trace: ExecutionTrace) -> SizedPartitions:
+        def body(recorder, worker, partition, size_in):
+            result = self._transform(partition)
+            size_out = _partition_bytes(result)
+            recorder.emit(
+                PhaseKind.STAGE,
+                f"stage:{self._label}",
+                worker=worker,
+                records_in=len(partition),
+                bytes_in=size_in,
+                records_out=len(result),
+                bytes_out=size_out,
             )
-        return output
+            return result, size_out
 
-
-class _FilteredRDD(RDD):
-    def __init__(self, parent: RDD, predicate: Callable) -> None:
-        super().__init__(parent.engine, parent.num_partitions)
-        self._parent = parent
-        self._predicate = predicate
-
-    def preferred_worker(self, partition: int) -> int:
-        return self._parent.preferred_worker(partition)
-
-    def compute_partitions(self, trace: ExecutionTrace) -> list[list]:
-        parents = self.engine.compute(self._parent, trace)
-        output: list[list] = []
-        for index, partition in enumerate(parents):
-            def body(recorder, worker, partition=partition):
-                result = [
-                    record for record in partition if self._predicate(record)
-                ]
-                recorder.emit(
-                    PhaseKind.STAGE,
-                    "stage:filter",
-                    worker=worker,
-                    records_in=len(partition),
-                    bytes_in=_partition_bytes(partition),
-                    records_out=len(result),
-                    bytes_out=_partition_bytes(result),
-                )
-                return result
-
-            output.append(self._run_task(trace, "stage:filter", index, body))
-        return output
-
-
-class _MapPartitionsRDD(RDD):
-    def __init__(self, parent: RDD, fn: Callable[[list], Iterable]) -> None:
-        super().__init__(parent.engine, parent.num_partitions)
-        self._parent = parent
-        self._fn = fn
-
-    def preferred_worker(self, partition: int) -> int:
-        return self._parent.preferred_worker(partition)
-
-    def compute_partitions(self, trace: ExecutionTrace) -> list[list]:
-        parents = self.engine.compute(self._parent, trace)
-        output: list[list] = []
-        for index, partition in enumerate(parents):
-            def body(recorder, worker, partition=partition):
-                result = list(self._fn(partition))
-                recorder.emit(
-                    PhaseKind.STAGE,
-                    "stage:mapPartitions",
-                    worker=worker,
-                    records_in=len(partition),
-                    bytes_in=_partition_bytes(partition),
-                    records_out=len(result),
-                    bytes_out=_partition_bytes(result),
-                )
-                return result
-
-            output.append(
-                self._run_task(trace, "stage:mapPartitions", index, body)
-            )
-        return output
+        return self._run_tasks(
+            trace,
+            f"stage:{self._label}",
+            body,
+            zip(*self.engine.compute(self._parent, trace)),
+        )
 
 
 class _UnionRDD(RDD):
@@ -412,12 +374,12 @@ class _UnionRDD(RDD):
         self._left = left
         self._right = right
 
-    def compute_partitions(self, trace: ExecutionTrace) -> list[list]:
-        left = self.engine.compute(self._left, trace)
-        right = self.engine.compute(self._right, trace)
+    def compute_partitions(self, trace: ExecutionTrace) -> SizedPartitions:
+        left, left_sizes = self.engine.compute(self._left, trace)
+        right, right_sizes = self.engine.compute(self._right, trace)
         partitions = left + right
-        for index, partition in enumerate(partitions):
-            size = _partition_bytes(partition)
+        sizes = left_sizes + right_sizes
+        for index, (partition, size) in enumerate(zip(partitions, sizes)):
             trace.emit(
                 PhaseKind.STAGE,
                 "stage:union",
@@ -427,7 +389,7 @@ class _UnionRDD(RDD):
                 records_out=len(partition),
                 bytes_out=size,
             )
-        return partitions
+        return partitions, sizes
 
 
 class _ShuffledRDD(RDD):
@@ -458,24 +420,24 @@ class _ShuffledRDD(RDD):
                 combined[key] = value
         return list(combined.items())
 
-    def compute_partitions(self, trace: ExecutionTrace) -> list[list]:
-        parents = self.engine.compute(self._parent, trace)
+    def compute_partitions(self, trace: ExecutionTrace) -> SizedPartitions:
+        parents, parent_sizes = self.engine.compute(self._parent, trace)
         buckets: list[list] = [[] for _ in range(self.num_partitions)]
-        for index, partition in enumerate(parents):
-            def write_body(recorder, worker, partition=partition):
-                to_write = (
-                    self._combine_partition(partition)
-                    if self._map_side_combine
-                    else partition
-                )
+        for index, (partition, size_in) in enumerate(zip(parents, parent_sizes)):
+            def write_body(recorder, worker, partition=partition, size_in=size_in):
+                if self._map_side_combine:
+                    to_write = self._combine_partition(partition)
+                    size_out = _partition_bytes(to_write)
+                else:
+                    to_write, size_out = partition, size_in
                 recorder.emit(
                     PhaseKind.SHUFFLE_WRITE,
                     "shuffle-write",
                     worker=worker,
                     records_in=len(partition),
-                    bytes_in=_partition_bytes(partition),
+                    bytes_in=size_in,
                     records_out=len(to_write),
-                    bytes_out=_partition_bytes(to_write),
+                    bytes_out=size_out,
                 )
                 return to_write
 
@@ -489,42 +451,40 @@ class _ShuffledRDD(RDD):
             for key, value in to_write:
                 buckets[stable_hash(key) % self.num_partitions].append((key, value))
 
-        output: list[list] = []
-        for index, bucket in enumerate(buckets):
-            def read_body(recorder, worker, bucket=bucket):
-                size = _partition_bytes(bucket)
-                recorder.emit(
-                    PhaseKind.SHUFFLE_READ,
-                    "shuffle-read",
+        def read_body(recorder, worker, bucket):
+            size = _partition_bytes(bucket)
+            recorder.emit(
+                PhaseKind.SHUFFLE_READ,
+                "shuffle-read",
                     worker=worker,
-                    records_in=len(bucket),
-                    bytes_in=size,
-                    records_out=len(bucket),
-                    bytes_out=size,
-                    fetches=float(len(parents)),
-                )
-                if self._combiner is not None:
-                    result = self._combine_partition(bucket)
-                else:
-                    groups: dict = {}
-                    for key, value in bucket:
-                        groups.setdefault(key, []).append(value)
-                    result = list(groups.items())
-                recorder.emit(
-                    PhaseKind.STAGE,
-                    "stage:aggregate",
-                    worker=worker,
-                    records_in=len(bucket),
-                    bytes_in=size,
-                    records_out=len(result),
-                    bytes_out=_partition_bytes(result),
-                )
-                return result
-
-            output.append(
-                self._run_task(trace, "stage:aggregate", index, read_body)
+                records_in=len(bucket),
+                bytes_in=size,
+                records_out=len(bucket),
+                bytes_out=size,
+                fetches=float(len(parents)),
             )
-        return output
+            if self._combiner is not None:
+                result = self._combine_partition(bucket)
+            else:
+                groups: dict = {}
+                for key, value in bucket:
+                    groups.setdefault(key, []).append(value)
+                result = list(groups.items())
+            size_out = _partition_bytes(result)
+            recorder.emit(
+                PhaseKind.STAGE,
+                "stage:aggregate",
+                worker=worker,
+                records_in=len(bucket),
+                bytes_in=size,
+                records_out=len(result),
+                bytes_out=size_out,
+            )
+            return result, size_out
+
+        return self._run_tasks(
+            trace, "stage:aggregate", read_body, ((b,) for b in buckets)
+        )
 
 
 class _SortedRDD(RDD):
@@ -535,8 +495,8 @@ class _SortedRDD(RDD):
         self._parent = parent
         self._key_fn = key_fn
 
-    def compute_partitions(self, trace: ExecutionTrace) -> list[list]:
-        parents = self.engine.compute(self._parent, trace)
+    def compute_partitions(self, trace: ExecutionTrace) -> SizedPartitions:
+        parents, parent_sizes = self.engine.compute(self._parent, trace)
         all_keys = sorted(
             self._key_fn(record) for partition in parents for record in partition
         )
@@ -546,9 +506,8 @@ class _SortedRDD(RDD):
         ] if all_keys else []
 
         buckets: list[list] = [[] for _ in range(self.num_partitions)]
-        for index, partition in enumerate(parents):
-            def write_body(recorder, worker, partition=partition):
-                size = _partition_bytes(partition)
+        for index, (partition, size) in enumerate(zip(parents, parent_sizes)):
+            def write_body(recorder, worker, partition=partition, size=size):
                 recorder.emit(
                     PhaseKind.SHUFFLE_WRITE,
                     "shuffle-write:sort",
@@ -570,35 +529,32 @@ class _SortedRDD(RDD):
             for record in written:
                 buckets[bisect.bisect_left(boundaries, self._key_fn(record))].append(record)
 
-        output: list[list] = []
-        for index, bucket in enumerate(buckets):
-            def read_body(recorder, worker, bucket=bucket):
-                size = _partition_bytes(bucket)
-                recorder.emit(
-                    PhaseKind.SHUFFLE_READ,
-                    "shuffle-read:sort",
-                    worker=worker,
-                    records_in=len(bucket),
-                    bytes_in=size,
-                    records_out=len(bucket),
-                    bytes_out=size,
-                )
-                # Sorting reorders the same records, so their size holds.
-                result = sorted(bucket, key=self._key_fn)
-                recorder.emit(
-                    PhaseKind.STAGE,
-                    "stage:sort",
-                    worker=worker,
-                    records_in=len(result),
-                    bytes_in=size,
-                    records_out=len(result),
-                    bytes_out=size,
-                    compare_ops=float(len(result)) * math.log2(max(2, len(result))),
-                )
-                return result
+        def read_body(recorder, worker, bucket):
+            size = _partition_bytes(bucket)
+            recorder.emit(
+                PhaseKind.SHUFFLE_READ,
+                "shuffle-read:sort",
+                worker=worker,
+                records_in=len(bucket),
+                bytes_in=size,
+                records_out=len(bucket),
+                bytes_out=size,
+            )
+            # Sorting reorders the same records, so their size holds.
+            result = sorted(bucket, key=self._key_fn)
+            recorder.emit(
+                PhaseKind.STAGE,
+                "stage:sort",
+                worker=worker,
+                records_in=len(result),
+                bytes_in=size,
+                records_out=len(result),
+                bytes_out=size,
+                compare_ops=float(len(result)) * math.log2(max(2, len(result))),
+            )
+            return result, size
 
-            output.append(self._run_task(trace, "stage:sort", index, read_body))
-        return output
+        return self._run_tasks(trace, "stage:sort", read_body, ((b,) for b in buckets))
 
 
 class _CoGroupedRDD(RDD):
@@ -615,11 +571,10 @@ class _CoGroupedRDD(RDD):
     def _shuffle_side(
         self, rdd: RDD, label: str, trace: ExecutionTrace
     ) -> list[list]:
-        parents = self.engine.compute(rdd, trace)
+        parents, parent_sizes = self.engine.compute(rdd, trace)
         buckets: list[list] = [[] for _ in range(self.num_partitions)]
-        for index, partition in enumerate(parents):
-            def write_body(recorder, worker, partition=partition):
-                size = _partition_bytes(partition)
+        for index, (partition, size) in enumerate(zip(parents, parent_sizes)):
+            def write_body(recorder, worker, partition=partition, size=size):
                 recorder.emit(
                     PhaseKind.SHUFFLE_WRITE,
                     f"shuffle-write:{label}",
@@ -642,51 +597,48 @@ class _CoGroupedRDD(RDD):
                 buckets[stable_hash(key) % self.num_partitions].append((key, value))
         return buckets
 
-    def compute_partitions(self, trace: ExecutionTrace) -> list[list]:
+    def compute_partitions(self, trace: ExecutionTrace) -> SizedPartitions:
         left_buckets = self._shuffle_side(self._left, "cogroup-left", trace)
         right_buckets = self._shuffle_side(self._right, "cogroup-right", trace)
-        output: list[list] = []
-        for index in range(self.num_partitions):
-            left, right = left_buckets[index], right_buckets[index]
 
-            def read_body(recorder, worker, left=left, right=right):
-                size = _partition_bytes(left) + _partition_bytes(right)
-                recorder.emit(
-                    PhaseKind.SHUFFLE_READ,
-                    "shuffle-read:cogroup",
-                    worker=worker,
-                    records_in=len(left) + len(right),
-                    bytes_in=size,
-                )
-                right_map: dict = {}
-                for key, value in right:
-                    right_map.setdefault(key, []).append(value)
-                result: list = []
-                if self._mode == "join":
-                    for key, value in left:
-                        for other in right_map.get(key, ()):
-                            result.append((key, (value, other)))
-                else:  # subtract: distinct left keys with no right occurrences
-                    emitted: set = set()
-                    for key, _value in left:
-                        if key not in right_map and key not in emitted:
-                            emitted.add(key)
-                            result.append(key)
-                recorder.emit(
-                    PhaseKind.STAGE,
-                    f"stage:{self._mode}",
-                    worker=worker,
-                    records_in=len(left) + len(right),
-                    bytes_in=size,
-                    records_out=len(result),
-                    bytes_out=_partition_bytes(result),
-                )
-                return result
-
-            output.append(
-                self._run_task(trace, f"stage:{self._mode}", index, read_body)
+        def read_body(recorder, worker, left, right):
+            size = _partition_bytes(left) + _partition_bytes(right)
+            recorder.emit(
+                PhaseKind.SHUFFLE_READ,
+                "shuffle-read:cogroup",
+                worker=worker,
+                records_in=len(left) + len(right),
+                bytes_in=size,
             )
-        return output
+            right_map: dict = {}
+            for key, value in right:
+                right_map.setdefault(key, []).append(value)
+            result: list = []
+            if self._mode == "join":
+                for key, value in left:
+                    for other in right_map.get(key, ()):
+                        result.append((key, (value, other)))
+            else:  # subtract: distinct left keys with no right occurrences
+                emitted: set = set()
+                for key, _value in left:
+                    if key not in right_map and key not in emitted:
+                        emitted.add(key)
+                        result.append(key)
+            size_out = _partition_bytes(result)
+            recorder.emit(
+                PhaseKind.STAGE,
+                f"stage:{self._mode}",
+                worker=worker,
+                records_in=len(left) + len(right),
+                bytes_in=size,
+                records_out=len(result),
+                bytes_out=size_out,
+            )
+            return result, size_out
+
+        return self._run_tasks(
+            trace, f"stage:{self._mode}", read_body, zip(left_buckets, right_buckets)
+        )
 
 
 class _CartesianRDD(RDD):
@@ -695,36 +647,27 @@ class _CartesianRDD(RDD):
         self._left = left
         self._right = right
 
-    def compute_partitions(self, trace: ExecutionTrace) -> list[list]:
-        left = self.engine.compute(self._left, trace)
-        right = self.engine.compute(self._right, trace)
-        output: list[list] = []
-        index = 0
-        for left_partition in left:
-            for right_partition in right:
-                def body(
-                    recorder,
-                    worker,
-                    left_partition=left_partition,
-                    right_partition=right_partition,
-                ):
-                    result = [
-                        (a, b) for a in left_partition for b in right_partition
-                    ]
-                    recorder.emit(
-                        PhaseKind.STAGE,
-                        "stage:cartesian",
-                        worker=worker,
-                        records_in=len(left_partition) + len(right_partition),
-                        bytes_in=_partition_bytes(left_partition)
-                        + _partition_bytes(right_partition),
-                        records_out=len(result),
-                        bytes_out=_partition_bytes(result),
-                    )
-                    return result
+    def compute_partitions(self, trace: ExecutionTrace) -> SizedPartitions:
+        left = list(zip(*self.engine.compute(self._left, trace)))
+        right = list(zip(*self.engine.compute(self._right, trace)))
 
-                output.append(
-                    self._run_task(trace, "stage:cartesian", index, body)
-                )
-                index += 1
-        return output
+        def body(recorder, worker, left_partition, left_size, right_partition, right_size):
+            result = [(a, b) for a in left_partition for b in right_partition]
+            size_out = _partition_bytes(result)
+            recorder.emit(
+                PhaseKind.STAGE,
+                "stage:cartesian",
+                worker=worker,
+                records_in=len(left_partition) + len(right_partition),
+                bytes_in=left_size + right_size,
+                records_out=len(result),
+                bytes_out=size_out,
+            )
+            return result, size_out
+
+        return self._run_tasks(
+            trace,
+            "stage:cartesian",
+            body,
+            (left_pair + right_pair for left_pair in left for right_pair in right),
+        )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.errors import StackExecutionError
 from repro.stacks.base import ExecutionTrace, StackInfo
 from repro.stacks.hdfs import Hdfs
-from repro.stacks.rdd import RDD
+from repro.stacks.rdd import RDD, SizedPartitions
 from repro.stacks.spark import SparkEngine
 from repro.stacks.sql.aggregates import finalize_state, init_state, merge_states, update_state
 from repro.stacks.sql.plan import (
@@ -180,6 +180,6 @@ class _ReversedRDD(RDD):
         super().__init__(parent.engine, parent.num_partitions)
         self._parent = parent
 
-    def compute_partitions(self, trace: ExecutionTrace) -> list[list]:
-        parents = self.engine.compute(self._parent, trace)
-        return [list(reversed(p)) for p in reversed(parents)]
+    def compute_partitions(self, trace: ExecutionTrace) -> SizedPartitions:
+        parents, sizes = self.engine.compute(self._parent, trace)
+        return [list(reversed(p)) for p in reversed(parents)], sizes[::-1]

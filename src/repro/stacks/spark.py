@@ -14,9 +14,9 @@ from __future__ import annotations
 from repro.errors import StackExecutionError
 from repro.obs.log import get_logger
 from repro.obs.trace import span as obs_span
-from repro.stacks.base import ExecutionTrace, PhaseKind, StackInfo, estimate_bytes
+from repro.stacks.base import ExecutionTrace, PhaseKind, StackInfo
 from repro.stacks.hdfs import Hdfs
-from repro.stacks.rdd import RDD, SparkContextLike, _HdfsRDD, _SourceRDD
+from repro.stacks.rdd import RDD, SizedPartitions, SparkContextLike, _HdfsRDD, _SourceRDD
 
 __all__ = ["SPARK_0_8_1", "SparkEngine"]
 
@@ -50,7 +50,7 @@ class SparkEngine(SparkContextLike):
             raise StackExecutionError("num_workers must be positive")
         self.num_workers = num_workers
         self.default_parallelism = default_parallelism or num_workers * 2
-        self._cache: dict[int, list[list]] = {}
+        self._cache: dict[int, SizedPartitions] = {}
 
     # -- RDD creation -------------------------------------------------------
 
@@ -68,10 +68,11 @@ class SparkEngine(SparkContextLike):
 
     # -- execution ----------------------------------------------------------
 
-    def compute(self, rdd: RDD, trace: ExecutionTrace) -> list[list]:
-        """Compute (or fetch from cache) all partitions of ``rdd``."""
+    def compute(self, rdd: RDD, trace: ExecutionTrace) -> SizedPartitions:
+        """Compute (or fetch from cache) all partitions of ``rdd``, with
+        each partition's byte size."""
         if rdd.cached and rdd.rdd_id in self._cache:
-            partitions = self._cache[rdd.rdd_id]
+            partitions, sizes = self._cache[rdd.rdd_id]
             _log.debug(
                 "rdd cache hit",
                 extra={"rdd_id": rdd.rdd_id, "partitions": len(partitions)},
@@ -80,8 +81,7 @@ class SparkEngine(SparkContextLike):
                 f"rdd:{rdd.rdd_id}:cache-scan", "rdd",
                 partitions=len(partitions),
             ):
-                for index, partition in enumerate(partitions):
-                    size = sum(map(estimate_bytes, partition))
+                for index, (partition, size) in enumerate(zip(partitions, sizes)):
                     trace.emit(
                         PhaseKind.CACHE_SCAN,
                         "cache-scan",
@@ -91,33 +91,30 @@ class SparkEngine(SparkContextLike):
                         records_out=len(partition),
                         bytes_out=size,
                     )
-            return [list(p) for p in partitions]
+            return [list(p) for p in partitions], list(sizes)
 
         with obs_span(f"rdd:{rdd.rdd_id}:compute", "rdd", cached=rdd.cached):
-            partitions = rdd.compute_partitions(trace)
+            partitions, sizes = rdd.compute_partitions(trace)
         if rdd.cached:
-            self._cache[rdd.rdd_id] = [list(p) for p in partitions]
-            for index, partition in enumerate(partitions):
+            # The cache keeps each partition's size from the build, so no
+            # scan of an iterative job re-sizes it.
+            self._cache[rdd.rdd_id] = ([list(p) for p in partitions], list(sizes))
+            for index, (partition, size) in enumerate(zip(partitions, sizes)):
                 trace.emit(
                     PhaseKind.CACHE_BUILD,
                     "cache-build",
                     worker=rdd.preferred_worker(index),
                     records_in=len(partition),
-                    bytes_in=sum(map(estimate_bytes, partition)),
+                    bytes_in=size,
                 )
-        return partitions
+        return partitions, sizes
 
     # -- storage accounting ---------------------------------------------------
 
     @property
     def cached_bytes(self) -> int:
         """Total bytes currently pinned in executor memory."""
-        return sum(
-            estimate_bytes(record)
-            for partitions in self._cache.values()
-            for partition in partitions
-            for record in partition
-        )
+        return sum(sum(sizes) for _partitions, sizes in self._cache.values())
 
     def new_trace(self, workload: str) -> ExecutionTrace:
         """A fresh execution trace tagged with this stack."""

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import bisect
 from collections import Counter
+from functools import lru_cache
 
-from repro.datagen import Bdgs
+from repro.datagen import Bdgs, SequenceRecord
 from repro.stacks.hadoop import HadoopStack
 from repro.stacks.instrument import CharacterHints
 from repro.stacks.hdfs import Hdfs
@@ -34,14 +35,29 @@ _TEXT_LINES = 2600
 GREP_PATTERN = "da"
 
 
+# Each input is a pure function of ``(seed, count)``: a fresh ``Bdgs``
+# draws it first.  Both stacks of an algorithm (and WordCount and Grep,
+# which read the same lines) therefore share one immutable copy per
+# process instead of regenerating it per workload.
+
+
+@lru_cache(maxsize=4)
+def _sort_records(seed: int, count: int) -> tuple[SequenceRecord, ...]:
+    return tuple(Bdgs(seed=seed).sequence_records(count))
+
+
+@lru_cache(maxsize=4)
+def _text_lines(seed: int, count: int) -> tuple[str, ...]:
+    return tuple(Bdgs(seed=seed).text_lines(count))
+
+
 # ---------------------------------------------------------------------------
 # Sort (80 GB unstructured sequence file)
 # ---------------------------------------------------------------------------
 
 
 def _sort_hadoop(context: RunContext) -> WorkloadRun:
-    bdgs = Bdgs(seed=context.seed)
-    records = bdgs.sequence_records(context.records(_SORT_RECORDS))
+    records = _sort_records(context.seed, context.records(_SORT_RECORDS))
     stack = HadoopStack()
     stack.hdfs.put("/input/sort", records)
     trace = stack.new_trace("H-Sort")
@@ -72,8 +88,7 @@ def _sort_hadoop(context: RunContext) -> WorkloadRun:
 
 
 def _sort_spark(context: RunContext) -> WorkloadRun:
-    bdgs = Bdgs(seed=context.seed)
-    records = bdgs.sequence_records(context.records(_SORT_RECORDS))
+    records = _sort_records(context.seed, context.records(_SORT_RECORDS))
     hdfs = Hdfs()
     hdfs.put("/input/sort", records)
     engine = SparkEngine()
@@ -98,13 +113,12 @@ def _sort_spark(context: RunContext) -> WorkloadRun:
 # ---------------------------------------------------------------------------
 
 
-def _wordcount_reference(lines: list[str]) -> Counter:
+def _wordcount_reference(lines: tuple[str, ...]) -> Counter:
     return Counter(word for line in lines for word in line.split())
 
 
 def _wordcount_hadoop(context: RunContext) -> WorkloadRun:
-    bdgs = Bdgs(seed=context.seed)
-    lines = bdgs.text_lines(context.records(_TEXT_LINES))
+    lines = _text_lines(context.seed, context.records(_TEXT_LINES))
     stack = HadoopStack()
     stack.hdfs.put("/input/wordcount", lines)
     trace = stack.new_trace("H-WordCount")
@@ -122,8 +136,7 @@ def _wordcount_hadoop(context: RunContext) -> WorkloadRun:
 
 
 def _wordcount_spark(context: RunContext) -> WorkloadRun:
-    bdgs = Bdgs(seed=context.seed)
-    lines = bdgs.text_lines(context.records(_TEXT_LINES))
+    lines = _text_lines(context.seed, context.records(_TEXT_LINES))
     hdfs = Hdfs()
     hdfs.put("/input/wordcount", lines)
     engine = SparkEngine()
@@ -146,8 +159,7 @@ def _wordcount_spark(context: RunContext) -> WorkloadRun:
 
 
 def _grep_hadoop(context: RunContext) -> WorkloadRun:
-    bdgs = Bdgs(seed=context.seed)
-    lines = bdgs.text_lines(context.records(_TEXT_LINES))
+    lines = _text_lines(context.seed, context.records(_TEXT_LINES))
     stack = HadoopStack()
     stack.hdfs.put("/input/grep", lines)
     trace = stack.new_trace("H-Grep")
@@ -165,8 +177,7 @@ def _grep_hadoop(context: RunContext) -> WorkloadRun:
 
 
 def _grep_spark(context: RunContext) -> WorkloadRun:
-    bdgs = Bdgs(seed=context.seed)
-    lines = bdgs.text_lines(context.records(_TEXT_LINES))
+    lines = _text_lines(context.seed, context.records(_TEXT_LINES))
     hdfs = Hdfs()
     hdfs.put("/input/grep", lines)
     engine = SparkEngine()

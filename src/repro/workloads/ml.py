@@ -9,8 +9,9 @@ accuracy before returning its trace.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
-from repro.datagen import Bdgs
+from repro.datagen import Bdgs, LabeledDocument
 from repro.stacks.hadoop import HadoopStack
 from repro.stacks.hdfs import Hdfs
 from repro.stacks.instrument import CharacterHints
@@ -35,6 +36,34 @@ _KMEANS_ITERATIONS = 4
 _PAGERANK_VERTICES = 260
 _PAGERANK_ITERATIONS = 4
 _DAMPING = 0.85
+
+
+# Each input is a pure function of ``(seed, count)`` (a fresh ``Bdgs``
+# draws it first), built once per process as immutable tuples and shared
+# by the algorithm's Hadoop and Spark runs.
+
+
+@lru_cache(maxsize=4)
+def _bayes_documents(seed: int, count: int) -> tuple[LabeledDocument, ...]:
+    return tuple(
+        Bdgs(seed=seed).labeled_documents(count, classes=_BAYES_CLASSES)
+    )
+
+
+@lru_cache(maxsize=4)
+def _kmeans_points(seed: int, count: int) -> tuple[tuple[float, ...], ...]:
+    cloud = Bdgs(seed=seed).points(count, clusters=_KMEANS_K)
+    return tuple(tuple(float(x) for x in row) for row in cloud.points)
+
+
+@lru_cache(maxsize=4)
+def _pagerank_links(seed: int, count: int) -> tuple[tuple[int, ...], ...]:
+    """Each vertex's successors, indexed by vertex."""
+    graph = Bdgs(seed=seed).graph(count)
+    adjacency = graph.adjacency()
+    return tuple(
+        tuple(adjacency.get(vertex, ())) for vertex in range(graph.num_vertices)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +128,7 @@ def _bayes_pairs(doc) -> list[tuple]:
 
 
 def _bayes_hadoop(context: RunContext) -> WorkloadRun:
-    bdgs = Bdgs(seed=context.seed)
-    docs = bdgs.labeled_documents(context.records(_BAYES_DOCS), classes=_BAYES_CLASSES)
+    docs = _bayes_documents(context.seed, context.records(_BAYES_DOCS))
     train, test = docs[: len(docs) * 4 // 5], docs[len(docs) * 4 // 5 :]
     stack = HadoopStack()
     stack.hdfs.put("/input/bayes", train)
@@ -117,8 +145,7 @@ def _bayes_hadoop(context: RunContext) -> WorkloadRun:
 
 
 def _bayes_spark(context: RunContext) -> WorkloadRun:
-    bdgs = Bdgs(seed=context.seed)
-    docs = bdgs.labeled_documents(context.records(_BAYES_DOCS), classes=_BAYES_CLASSES)
+    docs = _bayes_documents(context.seed, context.records(_BAYES_DOCS))
     train, test = docs[: len(docs) * 4 // 5], docs[len(docs) * 4 // 5 :]
     hdfs = Hdfs()
     hdfs.put("/input/bayes", train)
@@ -148,7 +175,7 @@ def _nearest(point: tuple, centers: list[tuple]) -> int:
     return best_index
 
 
-def _inertia(points: list[tuple], centers: list[tuple]) -> float:
+def _inertia(points: tuple[tuple, ...], centers: list[tuple]) -> float:
     return sum(
         min(sum((p - c) ** 2 for p, c in zip(point, center)) for center in centers)
         for point in points
@@ -160,14 +187,12 @@ def _vector_add(a: tuple, b: tuple) -> tuple:
 
 
 def _kmeans_hadoop(context: RunContext) -> WorkloadRun:
-    bdgs = Bdgs(seed=context.seed)
-    cloud = bdgs.points(context.records(_KMEANS_POINTS), clusters=_KMEANS_K)
-    points = [tuple(float(x) for x in row) for row in cloud.points]
+    points = _kmeans_points(context.seed, context.records(_KMEANS_POINTS))
     stack = HadoopStack()
     stack.hdfs.put("/input/kmeans", points)
     trace = stack.new_trace("H-Kmeans")
 
-    centers = points[:_KMEANS_K]
+    centers = list(points[:_KMEANS_K])
     initial_inertia = _inertia(points, centers)
     for iteration in range(_KMEANS_ITERATIONS):
         job = MapReduceJob(
@@ -211,16 +236,14 @@ def _kmeans_hadoop(context: RunContext) -> WorkloadRun:
 
 
 def _kmeans_spark(context: RunContext) -> WorkloadRun:
-    bdgs = Bdgs(seed=context.seed)
-    cloud = bdgs.points(context.records(_KMEANS_POINTS), clusters=_KMEANS_K)
-    points = [tuple(float(x) for x in row) for row in cloud.points]
+    points = _kmeans_points(context.seed, context.records(_KMEANS_POINTS))
     hdfs = Hdfs()
     hdfs.put("/input/kmeans", points)
     engine = SparkEngine()
     trace = engine.new_trace("S-Kmeans")
     rdd = engine.from_hdfs(hdfs, "/input/kmeans").cache()
 
-    centers = points[:_KMEANS_K]
+    centers = list(points[:_KMEANS_K])
     initial_inertia = _inertia(points, centers)
     for _iteration in range(_KMEANS_ITERATIONS):
         assigned = rdd.map(
@@ -251,13 +274,9 @@ def _kmeans_spark(context: RunContext) -> WorkloadRun:
 
 
 def _pagerank_hadoop(context: RunContext) -> WorkloadRun:
-    bdgs = Bdgs(seed=context.seed)
-    graph = bdgs.graph(context.records(_PAGERANK_VERTICES))
-    adjacency = graph.adjacency()
-    n = graph.num_vertices
-    records = [
-        (vertex, (tuple(adjacency.get(vertex, ())), 1.0 / n)) for vertex in range(n)
-    ]
+    adjacency = _pagerank_links(context.seed, context.records(_PAGERANK_VERTICES))
+    n = len(adjacency)
+    records = [(vertex, (links, 1.0 / n)) for vertex, links in enumerate(adjacency)]
     stack = HadoopStack()
     stack.hdfs.put("/input/pagerank", records)
     trace = stack.new_trace("H-PageRank")
@@ -296,11 +315,9 @@ def _pagerank_hadoop(context: RunContext) -> WorkloadRun:
 
 
 def _pagerank_spark(context: RunContext) -> WorkloadRun:
-    bdgs = Bdgs(seed=context.seed)
-    graph = bdgs.graph(context.records(_PAGERANK_VERTICES))
-    adjacency = graph.adjacency()
-    n = graph.num_vertices
-    link_records = [(vertex, tuple(adjacency.get(vertex, ()))) for vertex in range(n)]
+    adjacency = _pagerank_links(context.seed, context.records(_PAGERANK_VERTICES))
+    n = len(adjacency)
+    link_records = list(enumerate(adjacency))
     hdfs = Hdfs()
     hdfs.put("/input/pagerank", link_records)
     engine = SparkEngine()

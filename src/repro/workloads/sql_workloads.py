@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
+from functools import lru_cache
 
 from repro.datagen import Bdgs
 from repro.stacks.hive import HiveStack
@@ -52,46 +53,65 @@ ITEM_SCHEMA = Schema(("item_id", "order_id", "goods_id", "category", "quantity",
 ORDER_SCHEMA = Schema(("order_id", "buyer_id", "date"))
 
 
-def build_tables(context: RunContext) -> dict[str, Relation]:
-    """The e-commerce warehouse: ORDER, ORDER_ITEM and a second item
-    table (overlapping rows) for Union/Difference workloads."""
-    bdgs = Bdgs(seed=context.seed)
-    n_orders = context.records(_ORDER_ROWS)
-    n_items = context.records(_ITEM_ROWS)
+@lru_cache(maxsize=4)
+def _warehouse_rows(
+    seed: int, n_orders: int, n_items: int
+) -> tuple[tuple[tuple, ...], tuple[tuple, ...], tuple[tuple, ...]]:
+    """Row tuples of ``build_tables``'s three relations, built once per
+    process (a pure function of its arguments: a fresh ``Bdgs`` draws
+    them in a fixed order)."""
+    bdgs = Bdgs(seed=seed)
     orders = bdgs.orders(n_orders)
     items = bdgs.order_items(n_items, num_orders=n_orders)
     # item_b shares a prefix of item rows (overlap) plus fresh rows.
-    overlap = [row for row in items[: n_items // 2]]
+    overlap = items[: n_items // 2]
     fresh = bdgs.order_items(n_items // 2, num_orders=n_orders, id_offset=10_000_000)
-    item_rows = [
+    item_rows = tuple(
         (i.item_id, i.order_id, i.goods_id, i.category, i.quantity, i.price)
         for i in items
-    ]
-    item_b_rows = [
+    )
+    item_b_rows = tuple(
         (i.item_id, i.order_id, i.goods_id, i.category, i.quantity, i.price)
         for i in overlap + fresh
-    ]
-    order_rows = [(o.order_id, o.buyer_id, o.date) for o in orders]
+    )
+    order_rows = tuple((o.order_id, o.buyer_id, o.date) for o in orders)
+    return item_rows, item_b_rows, order_rows
+
+
+def build_tables(context: RunContext) -> dict[str, Relation]:
+    """The e-commerce warehouse: ORDER, ORDER_ITEM and a second item
+    table (overlapping rows) for Union/Difference workloads.
+
+    Every call returns fresh relations and row lists over the shared,
+    immutable row tuples, so one caller's edits never reach the next.
+    """
+    item_rows, item_b_rows, order_rows = _warehouse_rows(
+        context.seed, context.records(_ORDER_ROWS), context.records(_ITEM_ROWS)
+    )
     return {
-        "item": Relation("item", ITEM_SCHEMA, item_rows),
-        "item_b": Relation("item_b", ITEM_SCHEMA, item_b_rows),
-        "orders": Relation("orders", ORDER_SCHEMA, order_rows),
+        "item": Relation("item", ITEM_SCHEMA, list(item_rows)),
+        "item_b": Relation("item_b", ITEM_SCHEMA, list(item_b_rows)),
+        "orders": Relation("orders", ORDER_SCHEMA, list(order_rows)),
     }
+
+
+@lru_cache(maxsize=4)
+def _cross_rows(seed: int, side: int) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
+    bdgs = Bdgs(seed=seed)
+    orders = bdgs.orders(side)
+    items = bdgs.order_items(side, num_orders=side)
+    return (
+        tuple((o.order_id,) for o in orders),
+        tuple((i.goods_id,) for i in items),
+    )
 
 
 def _cross_tables(context: RunContext) -> dict[str, Relation]:
     """Small single-column tables for the cross-product workload."""
-    bdgs = Bdgs(seed=context.seed)
-    side = context.records(_CROSS_SIDE)
-    orders = bdgs.orders(side)
-    items = bdgs.order_items(side, num_orders=side)
+    order_ids, goods_ids = _cross_rows(context.seed, context.records(_CROSS_SIDE))
     return {
-        "order_ids": Relation(
-            "order_ids", Schema(("order_id",)), [(o.order_id,) for o in orders]
-        ),
-        "goods_ids": Relation(
-            "goods_ids", Schema(("goods_id",)), [(i.goods_id,) for i in items]
-        ),
+        "order_ids": Relation("order_ids", Schema(("order_id",)), list(order_ids)),
+        "goods_ids": Relation("goods_ids", Schema(("goods_id",)), list(goods_ids)),
     }
 
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.arch.batch import plan_workload
 from repro.arch.processor import Processor
-from repro.arch.trace import SynthScratch
 from repro.cluster.testbed import Cluster, MeasurementConfig
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan
@@ -34,9 +33,7 @@ def profiles():
     return profiles_from_trace(run.trace, workload.hints, num_workers=4)
 
 
-def run_engine(
-    profiles, engine, seed, *, active_cores=2, ops_per_core=1500, scratch=None
-):
+def run_engine(profiles, engine, seed, *, active_cores=2, ops_per_core=1500):
     """One fresh-processor run of ``"batched"`` (the shipping engine, over
     a plan drawn up front) or ``"windowed"`` (the per-op oracle, drawing
     each window as it runs); returns (events, final rng state)."""
@@ -49,7 +46,6 @@ def run_engine(
             [core.core_id for core in processor.cores[:active_cores]],
             ops_per_core,
             0.3,
-            scratch=scratch,
         )
         events = processor.run_workload(profiles, plan)
     else:
@@ -83,17 +79,19 @@ class TestEngineEquivalence:
                 run_engine([], engine, 0)
 
     def test_externally_built_plan_is_equivalent(self, profiles):
-        """Plans for several slaves drawn through one shared scratch (as
-        the testbed hoists them) each equal the reference for their own
+        """Plans for several slaves, all drawn before any of them runs (as
+        the testbed hoists them), each equal the reference for their own
         seed — the contract cross-slave batching rests on."""
-        scratch = SynthScratch()
-        for seed in (7, 8):
+        core_ids = [core.core_id for core in Processor().cores[:2]]
+        rngs = {seed: np.random.default_rng(seed) for seed in (7, 8)}
+        plans = {
+            seed: plan_workload(profiles, rng, core_ids, 1500, 0.3)
+            for seed, rng in rngs.items()
+        }
+        for seed, plan in plans.items():
             windowed, w_state = run_engine(profiles, "windowed", seed)
-            batched, b_state = run_engine(
-                profiles, "batched", seed, scratch=scratch
-            )
-            assert batched == windowed
-            assert b_state == w_state
+            assert Processor().run_workload(profiles, plan) == windowed
+            assert rngs[seed].bit_generator.state == w_state
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -139,8 +137,7 @@ class TestEquivalenceUnderObservation:
     def test_batched_collection_matches_windowed(self, monkeypatch):
         batched = self._characterize()
 
-        def plan_nothing(profiles, rng, core_ids, ops_per_core, warmup_fraction,
-                         scratch=None):
+        def plan_nothing(profiles, rng, core_ids, ops_per_core, warmup_fraction):
             return rng, len(core_ids), ops_per_core, warmup_fraction
 
         def force_windowed(self, profiles, plan):

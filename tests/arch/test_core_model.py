@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.arch.batch import synthesize_compact
 from repro.arch.cache import LINE_SHIFT, CacheConfig, SetAssociativeCache
 from repro.arch.coherence import CoherenceDirectory
 from repro.arch.core_model import CoreModel
 from repro.arch.trace import InstructionMix, PhaseProfile
+from tests.arch.reference_engine import synthesize_compact
 
 MIX = InstructionMix(load=0.3, store=0.1, branch=0.15, int_alu=0.35)
 

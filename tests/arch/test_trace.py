@@ -1,4 +1,9 @@
-"""Tests for phase profiles and synthetic op-stream generation."""
+"""Tests for phase profiles and synthetic op-stream generation.
+
+The synthesis properties are checked on the per-sample oracle
+(``tests/arch/reference_engine.py``), whose samples
+``test_plan_oracle.py`` pins field for field to the shipping planner's.
+"""
 
 import numpy as np
 import pytest
@@ -16,10 +21,9 @@ from repro.arch.trace import (
     USER_CODE_BASE,
     InstructionMix,
     PhaseProfile,
-    StreamColumns,
-    synthesize_columns,
 )
 from repro.errors import ConfigurationError
+from tests.arch.reference_engine import StreamColumns, synthesize_columns
 
 
 MIX = InstructionMix(load=0.25, store=0.1, branch=0.18, int_alu=0.35, fp_sse=0.02)

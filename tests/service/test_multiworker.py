@@ -209,4 +209,5 @@ def test_http_plane_serves_sibling_jobs(tmp_path):
     finally:
         for server in servers:
             server.shutdown()
+            server.server_close()
             server.service.close()

@@ -195,6 +195,110 @@ class TestEstimateBytesOracle:
         assert estimate_bytes((_Point(1.0, "a"), np.int64(1))) == 2 + 12 + 16
 
 
+_PREVIOUS_LEAF_BYTES: dict[type, int] = {type(None): 1, bool: 1, int: 8, float: 8}
+
+
+def previous_estimate_bytes(record: object) -> int:
+    """The size estimate before records were sized by cached dataclass
+    fields and nested tuples inline: exact tuples, lists, strings and
+    leaves by ``type()``, everything else by the ``isinstance`` chain."""
+    kind = type(record)
+    if kind is tuple or kind is list:
+        size = 2
+        for item in record:
+            item_kind = type(item)
+            if item_kind is str:
+                size += len(item) + 1
+            elif item_kind in _PREVIOUS_LEAF_BYTES:
+                size += _PREVIOUS_LEAF_BYTES[item_kind]
+            else:
+                size += previous_estimate_bytes(item)
+        return size
+    if kind is str:
+        return len(record) + 1
+    if kind in _PREVIOUS_LEAF_BYTES:
+        return _PREVIOUS_LEAF_BYTES[kind]
+    if isinstance(record, (int, float)):
+        return 8
+    if isinstance(record, str):
+        return len(record) + 1
+    if isinstance(record, (bytes, bytearray)):
+        return len(record)
+    if isinstance(record, (tuple, list)):
+        return 2 + sum(previous_estimate_bytes(item) for item in record)
+    if isinstance(record, dict):
+        return 2 + sum(
+            previous_estimate_bytes(k) + previous_estimate_bytes(v)
+            for k, v in record.items()
+        )
+    if hasattr(record, "__dataclass_fields__"):
+        return 2 + sum(
+            previous_estimate_bytes(getattr(record, name))
+            for name in record.__dataclass_fields__
+        )
+    return 16
+
+
+@dataclasses.dataclass
+class _Box:
+    content: object
+    tags: list
+
+
+@dataclasses.dataclass(frozen=True)
+class _LabeledPoint(_Point):
+    weight: int = 1
+
+
+class _Plain:
+    pass
+
+
+def _dataclass_records(children):
+    from repro.datagen import LabeledDocument, SequenceRecord
+
+    return st.one_of(
+        st.builds(SequenceRecord, st.binary(max_size=10), st.binary(max_size=10)),
+        st.builds(
+            LabeledDocument,
+            st.text(max_size=6),
+            st.lists(st.text(max_size=5), max_size=8).map(tuple),
+        ),
+        st.builds(_Box, children, st.lists(children, max_size=3)),
+        st.builds(_LabeledPoint, st.floats(allow_nan=False), st.text(max_size=4)),
+    )
+
+
+_ANY_LEAF = _LEAVES | _SUBCLASS_LEAVES | st.builds(_Plain)
+
+
+class TestEstimateBytesAgainstPrevious:
+    """The shipped estimate sizes every record as the previous function
+    did, across nesting, dataclasses, subclasses and leaves."""
+
+    @given(
+        st.recursive(
+            _ANY_LEAF,
+            lambda children: st.lists(children, max_size=5)
+            | st.lists(children, max_size=5).map(tuple)
+            | st.dictionaries(st.text(max_size=4) | st.integers(), children, max_size=3)
+            | _dataclass_records(children),
+            max_leaves=25,
+        )
+    )
+    def test_matches_previous_function(self, value):
+        assert estimate_bytes(value) == previous_estimate_bytes(value)
+        assert estimate_bytes(value) == reference_estimate_bytes(value)
+
+    def test_dataclass_sizes(self):
+        from repro.datagen import LabeledDocument, SequenceRecord
+
+        assert estimate_bytes(SequenceRecord(b"abc", b"de")) == 2 + 3 + 2
+        assert estimate_bytes(LabeledDocument("x", ("ab", "c"))) == 2 + 2 + (2 + 3 + 2)
+        assert estimate_bytes(_LabeledPoint(1.0, "a", 3)) == 2 + 8 + 2 + 8
+        assert estimate_bytes(((1, (2, "a")), [None])) == 2 + (2 + 8 + (2 + 8 + 2)) + (2 + 1)
+
+
 class TestStableHash:
     def test_deterministic_across_calls(self):
         assert stable_hash(("a", 1)) == stable_hash(("a", 1))
